@@ -18,15 +18,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
-from typing import Union
+from typing import NamedTuple, Union
 
 from .graph import (
     HEAD,
     TAIL,
     Admg,
     GraphError,
+    NodeSet,
+    _fresh,
     ancestors,
     cut_incoming,
     cut_outgoing,
@@ -36,6 +37,7 @@ from .graph import (
 )
 from .separation import (
     Path,
+    _path_key,
     d_connected_nodes,
     d_separated,
     enumerate_paths,
@@ -152,33 +154,43 @@ def backdoor_criterion(graph: Admg, query: AdjustmentQuery) -> CriterionVerdict:
     return CriterionVerdict(False, OpenBackdoorPath(verdict.witness))
 
 
-def _backdoor_holds(graph: Admg, x, y, z) -> bool:
-    """Decision-only back-door test (no witness materialization)."""
-    if frozenset(z) & descendants(graph, x):
-        return False
-    return d_separated(cut_outgoing(graph, x), x, y, z).separated
-
-
 def _is_causal(path: Path) -> bool:
     return all(s.source_mark == TAIL and s.target_mark == HEAD for s in path.steps)
 
 
+class _Split(NamedTuple):
+    """What every adjustment test of one (treatments, outcomes) pair shares."""
+
+    treatments: NodeSet
+    outcomes: NodeSet
+    mutilated: Admg  # edges into the treatments cut
+    amenable: NodeSet  # proper causal nodes outside the treatments
+    forbidden: NodeSet  # descendants of ``amenable`` in ``mutilated``
+    backdoor: Admg  # the proper back-door graph
+
+    def admits(self, covariates: NodeSet) -> bool:
+        """The adjustment criterion's decision, without a witness."""
+        if covariates & self.forbidden:
+            return False
+        return d_separated(self.backdoor, self.treatments, self.outcomes, covariates).separated
+
+
+def _split(graph: Admg, treatments, outcomes) -> _Split:
+    treatments = graph.node_subset(treatments)
+    outcomes = graph.node_subset(outcomes)
+    if treatments & outcomes:
+        raise GraphError("treatment and outcome sets overlap")
+    mutilated = cut_incoming(graph, treatments)
+    amenable = (descendants(mutilated, treatments) & ancestors(mutilated, outcomes)) - treatments
+    forbidden = descendants(mutilated, amenable)
+    drop = {(a, b) for (a, b) in graph.directed if a in treatments and b in amenable}
+    backdoor = Admg(graph.nodes, graph.directed - drop, graph.bidirected) if drop else graph
+    return _Split(treatments, outcomes, mutilated, amenable, forbidden, backdoor)
+
+
 def proper_backdoor_graph(graph: Admg, treatments, outcomes) -> Admg:
     """Remove the first edge of every proper causal path from the treatments."""
-    return _proper_backdoor_graph(
-        graph, graph.node_subset(treatments), graph.node_subset(outcomes)
-    )
-
-
-@lru_cache(maxsize=4096)
-def _proper_backdoor_graph(graph: Admg, treatments, outcomes) -> Admg:
-    pcn = proper_causal_nodes(graph, treatments, outcomes)
-    drop = {
-        (a, b)
-        for (a, b) in graph.directed
-        if a in treatments and b in pcn and b not in treatments
-    }
-    return Admg(graph.nodes, graph.directed - drop, graph.bidirected)
+    return _split(graph, treatments, outcomes).backdoor
 
 
 def adjustment_criterion(graph: Admg, query: AdjustmentQuery, mode: str = "fast") -> CriterionVerdict:
@@ -193,15 +205,12 @@ def adjustment_criterion(graph: Admg, query: AdjustmentQuery, mode: str = "fast"
     _checked_query(graph, query)
     x, y, z = query.treatments, query.outcomes, query.covariates
 
-    pcn = proper_causal_nodes(graph, x, y)
-    amenable = pcn - x
-    mutilated = cut_incoming(graph, x)
-    forbidden = descendants(mutilated, amenable) if amenable else frozenset()
-    offenders = sorted(z & forbidden)
+    split = _split(graph, x, y)
+    offenders = sorted(z & split.forbidden)
     if offenders:
         offender = offenders[0]
         causal_node = min(
-            w for w in amenable if offender in descendants(mutilated, frozenset({w}))
+            w for w in split.amenable if offender in descendants(split.mutilated, frozenset({w}))
         )
         return CriterionVerdict(False, ForbiddenDescendant(offender, causal_node))
 
@@ -212,11 +221,10 @@ def adjustment_criterion(graph: Admg, query: AdjustmentQuery, mode: str = "fast"
             if not _is_causal(p) and not path_blocked(graph, p, z)
         ]
         if open_paths:
-            best = min(open_paths, key=lambda p: (len(p.steps), p.nodes, tuple(s.arrow for s in p.steps)))
-            return CriterionVerdict(False, OpenNonCausalPath(best))
+            return CriterionVerdict(False, OpenNonCausalPath(min(open_paths, key=_path_key)))
         return CriterionVerdict(True)
 
-    verdict = d_separated(proper_backdoor_graph(graph, x, y), x, y, z)
+    verdict = d_separated(split.backdoor, x, y, z)
     if verdict.separated:
         return CriterionVerdict(True)
     return CriterionVerdict(False, OpenNonCausalPath(verdict.witness))
@@ -246,7 +254,7 @@ def exists_adjustment_set(graph: Admg, treatments, outcomes) -> bool:
     """Whether any covariate set makes adjustment valid for this pair."""
     canonical = canonical_adjustment_set(graph, treatments, outcomes)
     query = AdjustmentQuery(frozenset(treatments), frozenset(outcomes), canonical)
-    return adjustment_criterion(graph, query).holds
+    return _split(graph, query.treatments, query.outcomes).admits(canonical)
 
 
 def enumerate_adjustment_sets(
@@ -269,23 +277,17 @@ def enumerate_adjustment_sets(
         candidates = graph.node_subset(candidates)
         if candidates & (treatments | outcomes):
             raise GraphError("candidates must avoid treatments and outcomes")
+    query = AdjustmentQuery(treatments, outcomes)
+    split = _split(graph, query.treatments, query.outcomes)
     pool = sorted(candidates)
     out: list[frozenset[str]] = []
     for size in range(len(pool) + 1):
         for combo in combinations(pool, size):
-            query = AdjustmentQuery(treatments, outcomes, frozenset(combo))
-            if adjustment_criterion(graph, query).holds:
+            if split.admits(frozenset(combo)):
                 out.append(frozenset(combo))
                 if len(out) >= limit:
                     return out
     return out
-
-
-def _fresh(name: str, taken: set[str]) -> str:
-    while name in taken:
-        name += "_"
-    taken.add(name)
-    return name
 
 
 def magnify(graph: Admg, mediated_edges=()) -> Admg:
@@ -301,12 +303,6 @@ def magnify(graph: Admg, mediated_edges=()) -> Admg:
     if unknown:
         a, b = sorted(unknown)[0]
         raise GraphError(f"cannot mediate {a} -> {b}: not a directed edge of the graph")
-    return _magnify(graph, tuple(sorted(mediated)))
-
-
-@lru_cache(maxsize=2048)
-def _magnify(graph: Admg, mediated_tuple) -> Admg:
-    mediated = set(mediated_tuple)
     taken = set(graph.nodes)
     directed = set(graph.directed) - mediated
     extra: list[str] = []
@@ -358,7 +354,9 @@ def magnification_check(graph: Admg, query: AdjustmentQuery) -> bool:
     z_nd = z - descendants(graph, x)
     z_d = z & descendants(graph, x)
     helpers = helper_conditioning_set(magnified, x, y, z)
-    if not _backdoor_holds(magnified, x, y, helpers | z_nd):
+    # helpers and z_nd avoid the treatments' descendants by construction, so
+    # the back-door test of them is its separation half alone
+    if not d_separated(cut_outgoing(magnified, x), x, y, helpers | z_nd).separated:
         return False
     if helpers and not d_separated(magnified, x, helpers, z).separated:
         return False

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 HEAD = "head"
@@ -287,6 +286,16 @@ def parse_graph(text: str) -> Admg:
     return Admg(tuple(order), frozenset(directed), frozenset(bidirected))
 
 
+def _fresh(stem: str, taken: set[str], suffix: str = "") -> str:
+    """Take the first free name of ``stem + suffix``, ``stem + "_" + suffix``, ..."""
+    name = stem + suffix
+    while name in taken:
+        stem += "_"
+        name = stem + suffix
+    taken.add(name)
+    return name
+
+
 def _closure(graph: Admg, seeds: NodeSet, neighbors) -> NodeSet:
     out = set(seeds)
     stack = list(seeds)
@@ -329,11 +338,7 @@ def cut_incoming(graph: Admg, targets) -> Admg:
     Directed edges pointing into the set and bidirected edges touching it
     are removed; this is the graph after an intervention on ``targets``.
     """
-    return _cut_incoming(graph, graph.node_subset(targets))
-
-
-@lru_cache(maxsize=4096)
-def _cut_incoming(graph: Admg, targets: NodeSet) -> Admg:
+    targets = graph.node_subset(targets)
     directed = frozenset(e for e in graph.directed if e[1] not in targets)
     bidirected = frozenset(e for e in graph.bidirected if e[0] not in targets and e[1] not in targets)
     return Admg(graph.nodes, directed, bidirected)
@@ -341,22 +346,14 @@ def _cut_incoming(graph: Admg, targets: NodeSet) -> Admg:
 
 def cut_outgoing(graph: Admg, sources) -> Admg:
     """Drop directed edges whose tail is in ``sources``; bidirected edges stay."""
-    return _cut_outgoing(graph, graph.node_subset(sources))
-
-
-@lru_cache(maxsize=4096)
-def _cut_outgoing(graph: Admg, sources: NodeSet) -> Admg:
+    sources = graph.node_subset(sources)
     directed = frozenset(e for e in graph.directed if e[0] not in sources)
     return Admg(graph.nodes, directed, graph.bidirected)
 
 
 def remove_nodes(graph: Admg, dropped) -> Admg:
     """Delete nodes together with every edge that touches them."""
-    return _remove_nodes(graph, graph.node_subset(dropped))
-
-
-@lru_cache(maxsize=4096)
-def _remove_nodes(graph: Admg, dropped: NodeSet) -> Admg:
+    dropped = graph.node_subset(dropped)
     keep = tuple(v for v in graph.nodes if v not in dropped)
     directed = frozenset(e for e in graph.directed if e[0] not in dropped and e[1] not in dropped)
     bidirected = frozenset(e for e in graph.bidirected if e[0] not in dropped and e[1] not in dropped)
@@ -412,11 +409,7 @@ def latent_project(graph: Admg, hidden) -> Admg:
     when some collider-free path with arrowheads at both ends does.
     Projecting the empty set returns the graph unchanged.
     """
-    return _latent_project(graph, graph.node_subset(hidden))
-
-
-@lru_cache(maxsize=2048)
-def _latent_project(graph: Admg, hidden: NodeSet) -> Admg:
+    hidden = graph.node_subset(hidden)
     keep = tuple(v for v in graph.nodes if v not in hidden)
     directed = set()
     bidirected = set()
@@ -444,11 +437,6 @@ def proper_causal_nodes(graph: Admg, treatments, outcomes) -> NodeSet:
     outcomes = graph.node_subset(outcomes)
     if treatments & outcomes:
         raise GraphError("treatment and outcome sets overlap")
-    return _proper_causal_nodes(graph, treatments, outcomes)
-
-
-@lru_cache(maxsize=8192)
-def _proper_causal_nodes(graph: Admg, treatments: NodeSet, outcomes: NodeSet) -> NodeSet:
     stripped = cut_incoming(graph, treatments)
     return descendants(stripped, treatments) & ancestors(stripped, outcomes)
 
@@ -460,20 +448,12 @@ def expand_bidirected(graph: Admg, prefix: str = "__U") -> tuple[Admg, dict[tupl
     to the fresh latent node that replaced it.  Latents are named
     ``<prefix>_<A>_<B>`` with name-sorted endpoints.
     """
-    return _expand_bidirected(graph, prefix)
-
-
-@lru_cache(maxsize=2048)
-def _expand_bidirected(graph: Admg, prefix: str) -> tuple[Admg, dict[tuple[str, str], str]]:
     taken = set(graph.nodes)
     mapping: dict[tuple[str, str], str] = {}
     directed = set(graph.directed)
     extra = []
     for a, b in sorted(graph.bidirected):
-        u = f"{prefix}_{a}_{b}"
-        while u in taken:
-            u += "_"
-        taken.add(u)
+        u = _fresh(f"{prefix}_{a}_{b}", taken)
         mapping[(a, b)] = u
         extra.append(u)
         directed.add((u, a))

@@ -17,12 +17,13 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from .criteria import AdjustmentQuery, adjustment_criterion
-from .graph import Admg, expand_bidirected
+from .graph import Admg, expand_bidirected, latent_project
 
 __all__ = [
     "Counterexample",
@@ -130,22 +131,33 @@ class Dist:
         return 0.5 * float(np.abs(self.probs - other.probs).sum())
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DiscreteScm:
     """A discrete structural model over an expanded (explicit-latent) DAG.
 
     ``cpts[v]`` has one axis per parent (parents name-sorted) plus a final
     axis for ``v``; each row along the final axis sums to one.  The latent
     projection of ``expanded_dag`` over ``latents`` equals ``graph``.
+    Models are read-only: ``domains`` and ``cpts`` are mapping proxies over
+    copies of what was passed in, and every table is a read-only array, so
+    a model handed out by :func:`random_scm` can be shared safely.
     """
 
     graph: Admg
     expanded_dag: Admg
-    domains: dict[str, int]
-    cpts: dict[str, np.ndarray]
+    domains: Mapping[str, int]
+    cpts: Mapping[str, np.ndarray]
     latents: tuple[str, ...]
     seed: int | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        cpts = {}
+        for v, table in self.cpts.items():
+            cpts[v] = np.array(table, dtype=float)
+            cpts[v].flags.writeable = False
+        object.__setattr__(self, "domains", MappingProxyType(dict(self.domains)))
+        object.__setattr__(self, "cpts", MappingProxyType(cpts))
 
     @property
     def observed(self) -> tuple[str, ...]:
@@ -154,9 +166,7 @@ class DiscreteScm:
     def parent_list(self, v: str) -> list[str]:
         return sorted(self.expanded_dag.parents(v))
 
-    def validate(self):
-        from .graph import latent_project
-
+    def _check_tables(self):
         for v in self.expanded_dag.nodes:
             expected = tuple(self.domains[p] for p in self.parent_list(v)) + (self.domains[v],)
             table = self.cpts[v]
@@ -167,8 +177,29 @@ class DiscreteScm:
             sums = table.sum(axis=-1)
             if np.abs(sums - 1.0).max(initial=0.0) > _ROW_SUM_TOL:
                 raise ValueError(f"cpt rows for {v} do not sum to 1")
-        if latent_project(self.expanded_dag, self.latents) != self.graph:
-            raise ValueError("expanded DAG does not project back onto the model's graph")
+
+    def validate(self):
+        self._check_tables()
+        _check_projection(self.expanded_dag, self.latents, self.graph)
+
+
+def _check_projection(dag: Admg, latents: tuple[str, ...], graph: Admg):
+    if latent_project(dag, latents) != graph:
+        raise ValueError("expanded DAG does not project back onto the model's graph")
+
+
+@lru_cache(maxsize=32)
+def _model_cache(graph: Admg) -> tuple[Admg, tuple[str, ...], dict]:
+    """The expanded DAG and latents of ``graph``, and the models drawn on it
+    so far keyed by (seed, domain_size, positivity_eps).
+
+    Oracle sweeps draw the same seeds for every query on a graph, so models
+    are kept per graph, for the 32 graphs used last.
+    """
+    dag, mapping = expand_bidirected(graph)
+    latents = tuple(sorted(mapping.values()))
+    _check_projection(dag, latents, graph)
+    return dag, latents, {}
 
 
 def random_scm(graph: Admg, seed: int, domain_size: int = 2, positivity_eps: float = 0.05) -> DiscreteScm:
@@ -177,18 +208,17 @@ def random_scm(graph: Admg, seed: int, domain_size: int = 2, positivity_eps: flo
     Every node (latents included) gets ``domain_size`` states; each CPT row
     is uniform on the simplex shrunk so that all entries are at least
     ``positivity_eps``, which keeps every joint configuration possible.
+    Models are read-only, and calls with equal arguments may share one.
     """
-    return _random_scm_cached(graph, int(seed), int(domain_size), float(positivity_eps))
-
-
-@lru_cache(maxsize=None)
-def _random_scm_cached(graph: Admg, seed: int, domain_size: int, positivity_eps: float) -> DiscreteScm:
+    seed, domain_size, positivity_eps = int(seed), int(domain_size), float(positivity_eps)
     if domain_size < 2:
         raise ValueError("domain_size must be at least 2")
     if not 0.0 <= positivity_eps < 1.0 / domain_size:
         raise ValueError("positivity_eps must lie in [0, 1/domain_size)")
-    dag, mapping = expand_bidirected(graph)
-    latents = tuple(sorted(mapping.values()))
+    dag, latents, models = _model_cache(graph)
+    key = (seed, domain_size, positivity_eps)
+    if key in models:
+        return models[key]
     domains = {v: domain_size for v in dag.nodes}
     rng = np.random.default_rng(seed)
     cpts: dict[str, np.ndarray] = {}
@@ -200,7 +230,8 @@ def _random_scm_cached(graph: Admg, seed: int, domain_size: int, positivity_eps:
         shape = tuple(domains[p] for p in parents) + (domain_size,)
         cpts[v] = table.reshape(shape)
     scm = DiscreteScm(graph, dag, domains, cpts, latents, seed=seed)
-    scm.validate()
+    scm._check_tables()
+    models[key] = scm
     return scm
 
 
@@ -589,8 +620,6 @@ def scm_to_json(scm: DiscreteScm) -> dict:
 
 def scm_from_json(doc: dict) -> DiscreteScm:
     """Rebuild a model serialized by :func:`scm_to_json`."""
-    from .graph import latent_project
-
     nodes = tuple(doc["nodes"])
     latents = tuple(doc["latents"])
     domains = {v: int(doc["domains"][v]) for v in nodes}

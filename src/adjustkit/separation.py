@@ -78,8 +78,27 @@ def _check_chain(start: str, steps: tuple[Step, ...]):
         at = s.target
 
 
+class _Walk:
+    """Checking and printing shared by paths and routes: a start node plus
+    chained steps, printed as 'X -> A <-> B <- Y'."""
+
+    def validate_in(self, graph: Admg):
+        for v in (self.start, *(s.target for s in self.steps)):
+            graph._require(v)
+        for s in self.steps:
+            if not s.exists_in(graph):
+                raise GraphError(f"step {s.source} {s.arrow} {s.target} is not an edge of the graph")
+
+    def __str__(self):
+        out = [self.start]
+        for s in self.steps:
+            out.append(s.arrow)
+            out.append(s.target)
+        return " ".join(out)
+
+
 @dataclass(frozen=True)
-class Path:
+class Path(_Walk):
     """A walk that visits no node twice."""
 
     start: str
@@ -102,23 +121,9 @@ class Path:
     def end(self) -> str:
         return self.steps[-1].target if self.steps else self.start
 
-    def validate_in(self, graph: Admg):
-        for v in self.nodes:
-            graph._require(v)
-        for s in self.steps:
-            if not s.exists_in(graph):
-                raise GraphError(f"step {s.source} {s.arrow} {s.target} is not an edge of the graph")
-
-    def __str__(self):
-        out = [self.start]
-        for s in self.steps:
-            out.append(s.arrow)
-            out.append(s.target)
-        return " ".join(out)
-
 
 @dataclass(frozen=True)
-class Route:
+class Route(_Walk):
     """A walk that may revisit nodes; visits carry occurrence labels."""
 
     start: str
@@ -144,20 +149,6 @@ class Route:
     @property
     def end(self) -> str:
         return self.steps[-1].target
-
-    def validate_in(self, graph: Admg):
-        for v in self.node_sequence:
-            graph._require(v)
-        for s in self.steps:
-            if not s.exists_in(graph):
-                raise GraphError(f"step {s.source} {s.arrow} {s.target} is not an edge of the graph")
-
-    def __str__(self):
-        out = [self.start]
-        for s in self.steps:
-            out.append(s.arrow)
-            out.append(s.target)
-        return " ".join(out)
 
 
 def path_from_string(text: str) -> Path:

@@ -10,9 +10,8 @@ plain separation queries on the combined graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
-from .graph import Admg, descendants
+from .graph import Admg, _fresh, descendants
 from .separation import d_separated
 
 __all__ = ["TwinGraph", "graphical_ignorability", "noise_linked", "twin_network"]
@@ -37,22 +36,24 @@ class TwinGraph:
 def twin_network(graph: Admg, treatments) -> TwinGraph:
     """Build the two-world graph for an intervention on ``treatments``.
 
-    Descendants of the treatments get a second copy named ``<node>@do``;
-    everything else is shared.  Each bidirected edge {A, B} becomes an
+    Descendants of the treatments get a second copy named ``<stem>@do``,
+    where ``<stem>`` is the node's name without a trailing ``@do``; when that
+    name is taken, underscores are appended to the stem until it is free.
+    Everything else is shared.  Each bidirected edge {A, B} becomes an
     exogenous node ``__U_<A>_<B>`` with edges into A and B in both worlds,
     except that no edge enters a treatment copy: the ``@do`` copies of the
     treatments are parentless.
     """
-    return _twin_network(graph, graph.node_subset(treatments))
-
-
-@lru_cache(maxsize=1024)
-def _twin_network(graph: Admg, treatments) -> TwinGraph:
+    treatments = graph.node_subset(treatments)
     affected = descendants(graph, treatments)
-    copy_of = {
-        v: v + COUNTERFACTUAL_SUFFIX if v in affected else v for v in graph.nodes
-    }
-    taken = set(graph.nodes) | set(copy_of.values())
+    taken = set(graph.nodes)
+    copy_of = {}
+    for v in graph.nodes:
+        if v in affected:
+            stem = v.removesuffix(COUNTERFACTUAL_SUFFIX)
+            copy_of[v] = _fresh(stem, taken, COUNTERFACTUAL_SUFFIX)
+        else:
+            copy_of[v] = v
     directed: set[tuple[str, str]] = set()
     for a, b in graph.directed:
         directed.add((a, b))
@@ -60,10 +61,7 @@ def _twin_network(graph: Admg, treatments) -> TwinGraph:
             directed.add((copy_of[a], copy_of[b]))
     latents: list[str] = []
     for a, b in sorted(graph.bidirected):
-        u = f"__U_{a}_{b}"
-        while u in taken:
-            u += "_"
-        taken.add(u)
+        u = _fresh(f"__U_{a}_{b}", taken)
         latents.append(u)
         for end in (a, b):
             directed.add((u, end))
@@ -91,7 +89,7 @@ def noise_linked(twin: TwinGraph) -> Admg:
     its noise along with its parents.
     """
     links = frozenset(
-        (v, copy)
+        tuple(sorted((v, copy)))
         for v, copy in twin.counterfactual_of.items()
         # a parentless copy is an intervened one: every other duplicated
         # node inherits at least one parent from the mutilated graph

@@ -16,6 +16,7 @@ from adjustkit import (
     latent_project,
     parse_graph,
     proper_causal_nodes,
+    random_scm,
     remove_nodes,
     topological_order,
 )
@@ -330,6 +331,15 @@ class TestExpandBidirected:
         g = graph_from_edges([("__U_A_B", "A")], [("A", "B")])
         dag, mapping = expand_bidirected(g)
         assert mapping[("A", "B")] != "__U_A_B"
+
+    def test_caller_edit_does_not_reach_later_calls(self):
+        # Each call builds its own result: clearing one returned map must
+        # not change what a later call, or a model drawn later, sees.
+        edges = ([("Ea", "Eb")], [("Ea", "Eb")])
+        expand_bidirected(graph_from_edges(*edges))[1].clear()
+        again = graph_from_edges(*edges)
+        assert random_scm(again, seed=0).latents == ("__U_Ea_Eb",)
+        assert expand_bidirected(again)[1] == {("Ea", "Eb"): "__U_Ea_Eb"}
 
 
 class TestTopologicalOrder:

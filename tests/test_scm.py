@@ -1,5 +1,7 @@
 """Discrete structural models: exact joints, interventions, counterfactuals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,32 @@ class TestRandomScm:
             random_scm(fig1a, seed=0, domain_size=1)
 
 
+    def test_models_are_read_only(self):
+        # random_scm hands every caller the same model for equal arguments,
+        # so no caller may change it.
+        edges = [("Ra", "Rb")]
+        scm = random_scm(graph_from_edges(edges), seed=1)
+        before = scm.cpts["Ra"].copy()
+        with pytest.raises(TypeError):
+            scm.cpts["Ra"] = np.array([1.0, 0.0])
+        with pytest.raises(ValueError):
+            scm.cpts["Ra"][0] = 1.0
+        with pytest.raises(TypeError):
+            scm.domains["Ra"] = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scm.cpts = {}
+        again = random_scm(graph_from_edges(edges), seed=1)
+        assert np.array_equal(again.cpts["Ra"], before)
+
+    def test_model_copies_the_callers_tables(self):
+        scm = random_scm(graph_from_edges([("Ca", "Cb")]), seed=2)
+        tables = {v: t.copy() for v, t in scm.cpts.items()}
+        own = DiscreteScm(scm.graph, scm.expanded_dag, dict(scm.domains), tables, scm.latents)
+        tables["Ca"][0] = 1.0
+        assert tables["Ca"].flags.writeable
+        assert np.array_equal(own.cpts["Ca"], scm.cpts["Ca"])
+
+
 class TestJointObserved:
     def test_independent_coins_factorize(self):
         g = graph_from_edges([], nodes=["A", "B"])
@@ -231,9 +259,8 @@ class TestAdjustmentEstimand:
 
     def test_positivity_violation_names_the_cell(self):
         g = graph_from_edges([("X", "Y")], nodes=["X", "Y", "Z"])
-        scm = random_scm(g, seed=0)
-        scm.cpts["X"] = np.array([1.0, 0.0])
-        scm._cache.clear()
+        drawn = random_scm(g, seed=0)
+        scm = dataclasses.replace(drawn, cpts={**drawn.cpts, "X": np.array([1.0, 0.0])})
         joint = joint_observed(scm)
         with pytest.raises(PositivityError) as err:
             adjustment_estimand(joint, {"X": 1}, {"Y"}, {"Z"})

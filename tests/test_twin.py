@@ -13,6 +13,7 @@ from adjustkit import (
     descendants,
     graphical_ignorability,
     noise_linked,
+    parse_graph,
     random_scm,
     twin_network,
 )
@@ -59,6 +60,25 @@ class TestConstruction:
         twin = twin_network(g, set())
         assert twin.graph == g
         assert twin.counterfactual_of == {"A": "A", "B": "B"}
+
+    def test_caller_edit_does_not_reach_later_calls(self):
+        g = graph_from_edges([("Ta", "Tb")])
+        twin_network(g, {"Ta"}).counterfactual_of["Tb"] = "Tb"
+        again = graph_from_edges([("Ta", "Tb")])
+        assert twin_network(again, {"Ta"}).counterfactual_of["Tb"] == "Tb@do"
+
+    def test_copy_names_avoid_existing_do_nodes(self):
+        # The parser accepts a node named Y@do; copies take the next free
+        # name of the form <stem>_..._@do, which still parses.
+        g = graph_from_edges([("X", "Y"), ("Y", "Y@do")])
+        twin = twin_network(g, {"X"})
+        assert twin.counterfactual_of == {"X": "X@do", "Y": "Y_@do", "Y@do": "Y__@do"}
+        assert parse_graph(twin.graph.to_text()) == twin.graph
+        for query in all_queries(g):
+            assert (
+                graphical_ignorability(g, query)
+                == adjustment_criterion(g, query).holds
+            ), query
 
     def test_unknown_treatment_rejected(self, fig1a):
         with pytest.raises(GraphError):
