@@ -4,7 +4,9 @@ Every subcommand reads a graph in the text format, runs one check or
 transform, and prints either a short human-readable report or (with
 ``--json``) exactly one JSON document.  Exit status: 0 when the queried
 property holds (or the transform succeeded), 1 when a criterion fails or a
-counterexample is found, 2 on usage, parse, or precondition errors.
+counterexample is found, 2 on usage, parse, or precondition errors, and 3
+on an internal error (one ``internal error: ...`` line on stderr), so that a
+crash never reads as a failing criterion.
 """
 
 from __future__ import annotations
@@ -338,6 +340,9 @@ def run(argv=None) -> int:
     except (GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

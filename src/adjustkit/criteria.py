@@ -27,7 +27,7 @@ from .graph import (
     Admg,
     GraphError,
     NodeSet,
-    _fresh,
+    _pair_name,
     ancestors,
     cut_incoming,
     cut_outgoing,
@@ -279,6 +279,11 @@ def enumerate_adjustment_sets(
             raise GraphError("candidates must avoid treatments and outcomes")
     query = AdjustmentQuery(treatments, outcomes)
     split = _split(graph, query.treatments, query.outcomes)
+    # the canonical set is valid whenever any set is, so when it fails no
+    # subset of any candidate pool can pass
+    canonical = ancestors(graph, treatments | outcomes) - treatments - outcomes - split.amenable
+    if not split.admits(canonical):
+        return []
     pool = sorted(candidates)
     out: list[frozenset[str]] = []
     for size in range(len(pool) + 1):
@@ -296,7 +301,8 @@ def magnify(graph: Admg, mediated_edges=()) -> Admg:
     Every bidirected edge {A, B} becomes an explicit observable source
     ``__W_<A>_<B>`` with edges into both ends; every directed edge in
     ``mediated_edges`` is replaced by a mediator ``__C_<A>_<B>`` (endpoints
-    name-sorted) sitting between tail and head.  The result is a DAG.
+    name-sorted) sitting between tail and head.  A ``@do`` end is spelled
+    ``_do`` in these names.  The result is a DAG.
     """
     mediated = {tuple(e) for e in mediated_edges}
     unknown = mediated - set(graph.directed)
@@ -307,13 +313,12 @@ def magnify(graph: Admg, mediated_edges=()) -> Admg:
     directed = set(graph.directed) - mediated
     extra: list[str] = []
     for a, b in sorted(graph.bidirected):
-        w = _fresh(f"__W_{a}_{b}", taken)
+        w = _pair_name("__W", a, b, taken)
         extra.append(w)
         directed.add((w, a))
         directed.add((w, b))
     for a, b in sorted(mediated):
-        lo, hi = sorted((a, b))
-        c = _fresh(f"__C_{lo}_{hi}", taken)
+        c = _pair_name("__C", *sorted((a, b)), taken)
         extra.append(c)
         directed.add((a, c))
         directed.add((c, b))

@@ -296,6 +296,15 @@ def _fresh(stem: str, taken: set[str], suffix: str = "") -> str:
     return name
 
 
+def _pair_name(prefix: str, a: str, b: str, taken: set[str]) -> str:
+    """Fresh name ``<prefix>_<a>_<b>`` for a node standing for the pair.
+
+    A ``@do`` end is spelled ``_do`` inside the name, which the text format
+    could not read back otherwise (``@do`` may only end a name).
+    """
+    return _fresh(f"{prefix}_{a}_{b}".replace("@do", "_do"), taken)
+
+
 def _closure(graph: Admg, seeds: NodeSet, neighbors) -> NodeSet:
     out = set(seeds)
     stack = list(seeds)
@@ -446,14 +455,15 @@ def expand_bidirected(graph: Admg, prefix: str = "__U") -> tuple[Admg, dict[tupl
 
     Returns the expanded DAG plus a map from each original bidirected pair
     to the fresh latent node that replaced it.  Latents are named
-    ``<prefix>_<A>_<B>`` with name-sorted endpoints.
+    ``<prefix>_<A>_<B>`` with name-sorted endpoints (a ``@do`` end spelled
+    ``_do``).
     """
     taken = set(graph.nodes)
     mapping: dict[tuple[str, str], str] = {}
     directed = set(graph.directed)
     extra = []
     for a, b in sorted(graph.bidirected):
-        u = _fresh(f"{prefix}_{a}_{b}", taken)
+        u = _pair_name(prefix, a, b, taken)
         mapping[(a, b)] = u
         extra.append(u)
         directed.add((u, a))

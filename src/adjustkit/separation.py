@@ -2,9 +2,11 @@
 
 Bidirected edges carry arrowheads at both ends, so every rule here treats
 them exactly like a hidden common cause would: a node is a collider on a
-walk when both adjacent edge marks point into it.  Separation decisions
-run in linear time by arrowhead-aware reachability; the path enumerator
-doubles as the reference checker and supplies deterministic witnesses.
+walk when both adjacent edge marks point into it.  One transition rule over
+(node, arrived-by-arrowhead) states drives everything: separation decisions
+are a reachability sweep, and witnesses and inducing paths are a layered
+breadth-first search that returns the least open path in linear time.  The
+path enumerator survives only as the reference checker.
 """
 
 from __future__ import annotations
@@ -212,21 +214,26 @@ def enumerate_paths(graph: Admg, sources, sinks, max_len: int | None = None) -> 
     if max_len is None:
         max_len = len(graph.nodes)
     found: list[Path] = []
-
-    def extend(start, v, steps, visited):
-        if len(steps) >= max_len:
-            return
-        for w, mv, mw in incident_marks(graph, v):
-            step = Step(v, w, mv, mw)
-            if w in sinks:
-                found.append(Path(start, steps + (step,)))
-                continue
-            if w in sources or w in visited:
-                continue
-            extend(start, w, steps + (step,), visited | {w})
-
     for a in sorted(sources):
-        extend(a, a, (), {a})
+        # depth-first, one iterator over incident edges per node on the trail
+        steps: list[Step] = []
+        visited = {a}
+        stack = [iter(incident_marks(graph, a))] if max_len > 0 else []
+        while stack:
+            v = steps[-1].target if steps else a
+            for w, mv, mw in stack[-1]:
+                step = Step(v, w, mv, mw)
+                if w in sinks:
+                    found.append(Path(a, (*steps, step)))
+                elif w not in sources and w not in visited and len(steps) + 1 < max_len:
+                    steps.append(step)
+                    visited.add(w)
+                    stack.append(iter(incident_marks(graph, w)))
+                    break
+            else:
+                stack.pop()
+                if steps:
+                    visited.discard(steps.pop().target)
     return found
 
 
@@ -234,55 +241,123 @@ def _path_key(path: Path):
     return (len(path.steps), path.nodes, tuple(s.arrow for s in path.steps))
 
 
+def _onward(graph: Admg, v: str, came_head: bool | None, given: frozenset[str], open_colliders: frozenset[str]):
+    """Edges at ``v`` that continue an open walk which reached ``v``.
+
+    ``came_head`` says whether the walk arrived through an arrowhead; it is
+    ``None`` at the walk's start, where every edge may be taken.  Openness is
+    judged per visit: entering and leaving through arrowheads needs ``v`` in
+    ``open_colliders`` (the ancestors of ``given``), anything else needs
+    ``v`` outside ``given``.
+    """
+    marks = incident_marks(graph, v)
+    if came_head is None:
+        return marks
+    through = v not in given
+    into = came_head and v in open_colliders
+    return [m for m in marks if (into if came_head and m[1] == HEAD else through)]
+
+
 def _connected_closure(graph: Admg, src: frozenset[str], given: frozenset[str], stop_at: frozenset[str] = frozenset()) -> set[str]:
     """Nodes reachable from ``src`` along walks kept open by ``given``.
 
     Walks never pass through ``src`` or ``stop_at`` internally (they may end
-    there).  Openness is judged per visit: entering and leaving a node
-    through arrowheads needs a conditioned descendant, anything else needs
-    the node itself unconditioned.
+    there).
     """
-    open_collider: dict[str, bool] = {}
-
-    def collider_open(v: str) -> bool:
-        if v not in open_collider:
-            open_collider[v] = bool(descendants(graph, frozenset({v})) & given)
-        return open_collider[v]
-
+    open_colliders = ancestors(graph, given)
     seen: set[tuple[str, bool]] = set()
     reached: set[str] = set()
-    queue: deque[tuple[str, bool]] = deque()
-
-    def push(w: str, mw: str):
-        state = (w, mw == HEAD)
-        if state in seen:
-            return
-        seen.add(state)
-        reached.add(w)
-        if w not in src and w not in stop_at:
-            queue.append(state)
-
-    for a in sorted(src):
-        for w, _mv, mw in incident_marks(graph, a):
-            push(w, mw)
+    queue: deque[tuple[str, bool | None]] = deque((a, None) for a in sorted(src))
     while queue:
         v, came_head = queue.popleft()
-        for w, mv, mw in incident_marks(graph, v):
-            if came_head and mv == HEAD:
-                if not collider_open(v):
-                    continue
-            elif v in given:
+        for w, _mv, mw in _onward(graph, v, came_head, given, open_colliders):
+            state = (w, mw == HEAD)
+            if state in seen:
                 continue
-            push(w, mw)
+            seen.add(state)
+            reached.add(w)
+            if w not in src and w not in stop_at:
+                queue.append(state)
     return reached
+
+
+def _least_open_path(graph: Admg, first: frozenset[str], second: frozenset[str], given: frozenset[str]) -> Path | None:
+    """The open path from ``first`` to ``second`` with the least
+    ``_path_key`` (length, then node sequence, then arrows), or ``None``.
+
+    Paths touch ``first`` only at the start and ``second`` only at the end,
+    as in :func:`enumerate_paths`.  The search runs over (node,
+    arrived-by-arrowhead) states in three passes, each linear in the graph:
+
+    1. a forward sweep, one breadth-first layer at a time, up to the first
+       layer that reaches ``second``;
+    2. a backward pass keeping the states that lie on a shortest open walk;
+    3. a forward walk taking the least next node at each layer and, per
+       state, the least arrow prefix that reaches it.
+
+    A shortest open walk never repeats a node (:func:`direct_route` would
+    shorten it), so the walk found is the least open path.
+    """
+    open_colliders = ancestors(graph, given)
+    layers = [[(a, None) for a in sorted(first)]]
+    depth = {state: 0 for state in layers[0]}
+    onward: dict = {}  # state -> [(next state, step marks)] one layer further
+    while layers[-1] and not any(v in second for v, _ in layers[-1]):
+        d = len(layers)
+        nxt = []
+        for state in layers[-1]:
+            v, came_head = state
+            edges = onward[state] = []
+            for w, mv, mw in _onward(graph, v, came_head, given, open_colliders):
+                if w in first:
+                    continue
+                after = (w, mw == HEAD)
+                if after not in depth:
+                    depth[after] = d
+                    nxt.append(after)
+                elif depth[after] != d:
+                    continue
+                edges.append((after, (v, w, mv, mw)))
+        layers.append(nxt)
+    if not layers[-1]:
+        return None
+
+    alive = {state for state in layers[-1] if state[0] in second}
+    for layer in reversed(layers[:-1]):
+        alive.update(s for s in layer if any(after in alive for after, _ in onward[s]))
+
+    start = next(s for s in layers[0] if s in alive)
+    rank = {start: 0}  # a state's place among its layer's least arrow prefixes
+    back = {start: None}  # the state one layer back and the step taken
+    current = [start]
+    for _ in range(len(layers) - 1):
+        w = min(after[0] for s in current for after, _ in onward[s] if after in alive)
+        reach: dict = {}
+        for s in current:
+            for after, marks in onward[s]:
+                if after[0] == w and after in alive:
+                    key = (rank[s], _ARROWS[marks[2:]])
+                    if after not in reach or key < reach[after][0]:
+                        reach[after] = (key, s, marks)
+        keys = sorted({key for key, _, _ in reach.values()})
+        for after, (key, s, marks) in reach.items():
+            rank[after] = keys.index(key)
+            back[after] = (s, marks)
+        current = list(reach)
+    state = min(current, key=rank.__getitem__)
+    steps = []
+    while back[state] is not None:
+        state, marks = back[state]
+        steps.append(Step(*marks))
+    return Path(start[0], tuple(reversed(steps)))
 
 
 class SepVerdict:
     """Outcome of a separation query.
 
     ``witness`` is ``None`` when separated; otherwise it is the shortest
-    open path (ties broken by lexicographic node sequence), computed on
-    first access.
+    open path (ties broken by lexicographic node sequence, then arrows),
+    found on first access by a layered search linear in the graph.
     """
 
     __slots__ = ("separated", "_graph", "_first", "_second", "_given", "_witness", "_have_witness")
@@ -301,14 +376,9 @@ class SepVerdict:
         if self.separated:
             return None
         if not self._have_witness:
-            candidates = [
-                p
-                for p in enumerate_paths(self._graph, self._first, self._second)
-                if not path_blocked(self._graph, p, self._given)
-            ]
-            if not candidates:
+            self._witness = _least_open_path(self._graph, self._first, self._second, self._given)
+            if self._witness is None:
                 raise AssertionError("reachability reported a connection but no open path exists")
-            self._witness = min(candidates, key=_path_key)
             self._have_witness = True
         return self._witness
 
@@ -320,8 +390,8 @@ def d_separated(graph: Admg, first, second, given) -> SepVerdict:
     """Decide whether ``given`` blocks every path between the node sets.
 
     The three sets must be pairwise disjoint.  The decision runs by
-    reachability; the witness, when the sets are connected, is drawn from
-    full path enumeration so repeated runs agree exactly.
+    reachability; the witness, when the sets are connected, is the least
+    open path under a fixed order, so repeated runs agree exactly.
     """
     first = graph.node_subset(first)
     second = graph.node_subset(second)
@@ -373,22 +443,14 @@ def find_inducing_path(graph: Admg, first, second) -> Path | None:
 
     Such a path exists exactly when no conditioning set separates the two
     sets.  Returns the shortest one (lexicographic tie-break) or ``None``.
+    It is the least open path given every such ancestor outside the two
+    sets: there a non-collider always blocks and a collider never does.  A
+    walk that steps off the ancestors enters a non-ancestor through an
+    arrowhead and can only go on along directed edges to non-ancestors, so
+    it never reaches ``second``.
     """
     first = graph.node_subset(first)
     second = graph.node_subset(second)
     if first & second:
         raise GraphError("query sets must be pairwise disjoint")
-    ancestors_union = ancestors(graph, first) | ancestors(graph, second)
-    best = None
-    for path in enumerate_paths(graph, first, second):
-        if any(v not in ancestors_union for v in path.nodes):
-            continue
-        interior_ok = all(
-            path.steps[i - 1].target_mark == HEAD and path.steps[i].source_mark == HEAD
-            for i in range(1, len(path.nodes) - 1)
-        )
-        if not interior_ok:
-            continue
-        if best is None or _path_key(path) < _path_key(best):
-            best = path
-    return best
+    return _least_open_path(graph, first, second, ancestors(graph, first | second) - first - second)

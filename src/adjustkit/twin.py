@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Admg, _fresh, descendants
+from .graph import Admg, _fresh, _pair_name, descendants
 from .separation import d_separated
 
 __all__ = ["TwinGraph", "graphical_ignorability", "noise_linked", "twin_network"]
@@ -40,9 +40,9 @@ def twin_network(graph: Admg, treatments) -> TwinGraph:
     where ``<stem>`` is the node's name without a trailing ``@do``; when that
     name is taken, underscores are appended to the stem until it is free.
     Everything else is shared.  Each bidirected edge {A, B} becomes an
-    exogenous node ``__U_<A>_<B>`` with edges into A and B in both worlds,
-    except that no edge enters a treatment copy: the ``@do`` copies of the
-    treatments are parentless.
+    exogenous node ``__U_<A>_<B>`` (a ``@do`` end spelled ``_do``) with
+    edges into A and B in both worlds, except that no edge enters a
+    treatment copy: the ``@do`` copies of the treatments are parentless.
     """
     treatments = graph.node_subset(treatments)
     affected = descendants(graph, treatments)
@@ -61,7 +61,7 @@ def twin_network(graph: Admg, treatments) -> TwinGraph:
             directed.add((copy_of[a], copy_of[b]))
     latents: list[str] = []
     for a, b in sorted(graph.bidirected):
-        u = _fresh(f"__U_{a}_{b}", taken)
+        u = _pair_name("__U", a, b, taken)
         latents.append(u)
         for end in (a, b):
             directed.add((u, end))

@@ -113,6 +113,18 @@ class TestCheckVerbs:
     def test_missing_required_flag_exits_2(self, capsys):
         assert invoke(capsys, "check-adjust", "--graph", FIG1A, "-X", "X")[0] == 2
 
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        import adjustkit.cli as cli
+
+        def broken(*args, **kwargs):
+            raise KeyError("lost")
+
+        monkeypatch.setattr(cli, "canonical_adjustment_set", broken)
+        code, out, err = invoke(capsys, "canonical-set", "--graph", FIG1A, "-X", "X", "-Y", "Y")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: KeyError('lost')\n"
+
 
 class TestJsonVerdicts:
     def test_round_trips_through_the_library(self, capsys, fig1c):

@@ -30,8 +30,16 @@ from adjustkit import (
     verdict_from_json,
     verdict_to_json,
 )
-from adjustkit.graph import HEAD
-from conftest import all_mixed_graphs, all_queries, graph_from_edges, random_admg
+from adjustkit.graph import HEAD, Admg
+from conftest import (
+    all_mixed_graphs,
+    all_queries,
+    graph_family,
+    graph_from_edges,
+    random_admg,
+    singleton_pairs,
+    subsets_of,
+)
 
 
 def q(x, y, z=()):
@@ -110,6 +118,12 @@ class TestAdjustmentCriterion:
             assert not verdict.holds
             assert isinstance(verdict.failure, OpenNonCausalPath)
             assert str(verdict.failure.path) == "X <-> Y"
+
+    def test_reference_mode_on_a_long_chain(self):
+        chain = parse_graph("\n".join(f"V{i} -> V{i + 1}" for i in range(1499)))
+        query = q({"V0"}, {"V1499"})
+        assert adjustment_criterion(chain, query, mode="reference").holds
+        assert adjustment_criterion(chain, query).holds
 
     def test_unknown_mode_rejected(self, fig1a):
         with pytest.raises(ValueError):
@@ -260,6 +274,32 @@ class TestEnumerateSets:
         sets2 = enumerate_adjustment_sets(g2, {"X"}, {"Y"}, {"A", "B"}, limit=2)
         assert sets2 == [frozenset(), frozenset({"A"})]
 
+    def test_no_valid_set_returns_at_once(self):
+        # X -> Y and X <-> Y: nothing blocks the bidirected edge, whatever
+        # the seventeen other parents of Y are conditioned on.
+        g = Admg.build([("X", "Y")] + [(f"P{i}", "Y") for i in range(17)], [("X", "Y")])
+        assert not exists_adjustment_set(g, {"X"}, {"Y"})
+        assert enumerate_adjustment_sets(g, {"X"}, {"Y"}) == []
+        assert enumerate_adjustment_sets(g, {"X"}, {"Y"}, {"P0", "P1"}, limit=1) == []
+
+    def test_matches_the_unpruned_search_on_the_family(self):
+        def unpruned(g, x, y, candidates, limit):
+            out = []
+            for z in subsets_of(candidates):
+                if adjustment_criterion(g, q(x, y, z)).holds:
+                    out.append(z)
+                    if len(out) == limit:
+                        break
+            return out
+
+        for g in graph_family():
+            for x, y in singleton_pairs(g):
+                rest = sorted(set(g.nodes) - x - y)
+                for candidates, limit in ((rest, 16), (rest[:2], 1)):
+                    assert enumerate_adjustment_sets(g, x, y, candidates, limit) == unpruned(
+                        g, x, y, candidates, limit
+                    ), (g, x, y, candidates, limit)
+
     def test_zero_limit_rejected(self, fig1a):
         with pytest.raises(ValueError):
             enumerate_adjustment_sets(fig1a, {"X"}, {"Y"}, {"Z"}, limit=0)
@@ -289,6 +329,12 @@ class TestMagnify:
     def test_non_edge_rejected(self, fig1a):
         with pytest.raises(GraphError):
             magnify(fig1a, [("Y", "X")])
+
+    def test_names_from_do_nodes_parse_back(self):
+        g = graph_from_edges([("X", "Y@do")], [("Y@do", "Z")])
+        ge = magnify(g, [("X", "Y@do")])
+        assert {"__W_Y_do_Z", "__C_X_Y_do"} <= set(ge.nodes)
+        assert parse_graph(ge.to_text()) == ge
 
     def test_fresh_names_avoid_collisions(self):
         g = parse_graph("node __W_A_B A B\nA <-> B\n__W_A_B -> A")

@@ -327,6 +327,12 @@ class TestExpandBidirected:
         assert dag == fig1a
         assert mapping == {}
 
+    def test_names_from_do_nodes_parse_back(self):
+        g = graph_from_edges([("X", "Y@do")], [("Y@do", "Z")])
+        dag, mapping = expand_bidirected(g)
+        assert mapping == {("Y@do", "Z"): "__U_Y_do_Z"}
+        assert parse_graph(dag.to_text()) == dag
+
     def test_name_collision_avoided(self):
         g = graph_from_edges([("__U_A_B", "A")], [("A", "B")])
         dag, mapping = expand_bidirected(g)

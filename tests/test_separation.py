@@ -1,8 +1,11 @@
 """Path machinery, blocking, separation decisions, routes, inducing paths."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjustkit import (
     GraphError,
@@ -14,13 +17,15 @@ from adjustkit import (
     d_separated,
     direct_route,
     enumerate_paths,
+    expand_bidirected,
     find_inducing_path,
     parse_graph,
     path_blocked,
     path_from_string,
     route_blocked,
 )
-from adjustkit.graph import HEAD, TAIL
+from adjustkit.graph import HEAD, TAIL, Admg
+from adjustkit.separation import _path_key
 from conftest import (
     all_dags,
     all_mixed_graphs,
@@ -184,6 +189,13 @@ class TestEnumeratePaths:
         g = graph_from_edges([("A", "B")], [("A", "B")])
         paths = enumerate_paths(g, {"A"}, {"B"})
         assert sorted(str(q) for q in paths) == ["A -> B", "A <-> B"]
+
+    def test_long_chain_does_not_recurse(self):
+        chain = parse_graph("\n".join(f"V{i} -> V{i + 1}" for i in range(1499)))
+        paths = enumerate_paths(chain, {"V0"}, {"V1499"})
+        assert [len(q.steps) for q in paths] == [1499]
+        witness = d_separated(chain, {"V0"}, {"V1499"}, set()).witness
+        assert witness == paths[0]
 
 
 class TestDSeparated:
@@ -414,3 +426,84 @@ class TestInducingPaths:
     def test_overlap_rejected(self, fig1a):
         with pytest.raises(GraphError):
             find_inducing_path(fig1a, {"X"}, {"X", "Y"})
+
+
+def reference_witness(graph, first, second, given):
+    """The least open path by full enumeration, or None."""
+    open_paths = [q for q in enumerate_paths(graph, first, second) if not path_blocked(graph, q, given)]
+    return min(open_paths, key=_path_key, default=None)
+
+
+def reference_inducing_path(graph, first, second):
+    """The least inducing path by full enumeration, or None."""
+    anc = ancestors(graph, first | second)
+    inducing = [
+        q
+        for q in enumerate_paths(graph, first, second)
+        if set(q.nodes) <= anc
+        and all(q.steps[i - 1].target_mark == HEAD and q.steps[i].source_mark == HEAD for i in range(1, len(q.steps)))
+    ]
+    return min(inducing, key=_path_key, default=None)
+
+
+@st.composite
+def witness_cases(draw, max_nodes: int = 7):
+    """A graph of up to ``max_nodes`` nodes, parallel ``->``/``<->`` pairs
+    included, plus disjoint nonempty endpoint sets and a conditioning set."""
+    nodes = "ABCDEFG"[: draw(st.integers(min_value=2, max_value=max_nodes))]
+    order = draw(st.permutations(nodes))
+    dir_pairs = [(a, b) for i, a in enumerate(order) for b in order[i + 1 :]]
+    directed = draw(st.sets(st.sampled_from(dir_pairs), max_size=10))
+    bidirected = draw(st.sets(st.sampled_from(list(combinations(nodes, 2))), max_size=6))
+    parallel = draw(st.sets(st.sampled_from(sorted(directed)), max_size=3)) if directed else set()
+    bidirected |= {tuple(sorted(e)) for e in parallel}
+    graph = Admg(tuple(nodes), frozenset(directed), frozenset(bidirected))
+    roles = draw(st.lists(st.sampled_from("fsgn"), min_size=len(nodes), max_size=len(nodes)))
+    roles[0], roles[-1] = "f", "s"
+    sets = {r: frozenset(v for v, role in zip(nodes, roles) if role == r) for r in "fsg"}
+    return graph, sets["f"], sets["s"], sets["g"]
+
+
+class TestWitnessMatchesEnumeration:
+    """The layered search returns exactly the least enumerated path."""
+
+    def test_exhaustive_three_node_mixed(self):
+        for g in all_mixed_graphs(3):
+            for a, b, z in _agreement_queries(g):
+                verdict = d_separated(g, a, b, z)
+                assert str(verdict.witness) == str(reference_witness(g, a, b, z)), (g, a, b, z)
+                assert str(find_inducing_path(g, a, b)) == str(reference_inducing_path(g, a, b)), (g, a, b)
+
+    @given(witness_cases())
+    @settings(deadline=None, max_examples=300)
+    def test_random_graphs_with_parallel_edges(self, case):
+        g, a, b, z = case
+        assert str(d_separated(g, a, b, z).witness) == str(reference_witness(g, a, b, z))
+        assert str(find_inducing_path(g, a, b)) == str(reference_inducing_path(g, a, b))
+
+
+class TestLargeGraphs:
+    """Agreement at a size path enumeration cannot reach."""
+
+    def test_thousand_nodes_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(2024)
+        n = 1000
+        names = [f"V{i}" for i in range(n)]
+        directed = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 3 / n]
+        bidirected = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 1 / n]
+        g = Admg.build(directed, bidirected, names)
+        dag, _ = expand_bidirected(g)
+        nxg = nx.DiGraph(list(dag.directed))
+        nxg.add_nodes_from(dag.nodes)
+        failing = 0
+        for _ in range(40):
+            x, y, *z = rng.sample(names, 2 + n // 20)
+            verdict = d_separated(g, {x}, {y}, z)
+            assert verdict.separated == nx.is_d_separator(nxg, {x}, {y}, set(z)), (x, y)
+            if not verdict.separated:
+                failing += 1
+                witness = verdict.witness
+                assert (witness.start, witness.end) == (x, y)
+                assert not path_blocked(g, witness, z)
+        assert failing >= 10

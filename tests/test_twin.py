@@ -80,6 +80,12 @@ class TestConstruction:
                 == adjustment_criterion(g, query).holds
             ), query
 
+    def test_latent_names_from_do_nodes_parse_back(self):
+        g = graph_from_edges([("X", "Y@do")], [("Y@do", "Z")])
+        twin = twin_network(g, {"X"})
+        assert "__U_Y_do_Z" in twin.graph.nodes
+        assert parse_graph(twin.graph.to_text()) == twin.graph
+
     def test_unknown_treatment_rejected(self, fig1a):
         with pytest.raises(GraphError):
             twin_network(fig1a, {"Q"})
