@@ -174,6 +174,10 @@ class _Split(NamedTuple):
             return False
         return d_separated(self.backdoor, self.treatments, self.outcomes, covariates).separated
 
+    def canonical(self, graph: Admg) -> NodeSet:
+        """The canonical adjustment set of ``graph`` for this pair."""
+        return ancestors(graph, self.treatments | self.outcomes) - self.treatments - self.outcomes - self.amenable
+
 
 def _split(graph: Admg, treatments, outcomes) -> _Split:
     treatments = graph.node_subset(treatments)
@@ -252,9 +256,9 @@ def canonical_adjustment_set(graph: Admg, treatments, outcomes) -> frozenset[str
 
 def exists_adjustment_set(graph: Admg, treatments, outcomes) -> bool:
     """Whether any covariate set makes adjustment valid for this pair."""
-    canonical = canonical_adjustment_set(graph, treatments, outcomes)
-    query = AdjustmentQuery(frozenset(treatments), frozenset(outcomes), canonical)
-    return _split(graph, query.treatments, query.outcomes).admits(canonical)
+    split = _split(graph, treatments, outcomes)
+    AdjustmentQuery(split.treatments, split.outcomes)  # rejects empty sets
+    return split.admits(split.canonical(graph))
 
 
 def enumerate_adjustment_sets(
@@ -281,8 +285,7 @@ def enumerate_adjustment_sets(
     split = _split(graph, query.treatments, query.outcomes)
     # the canonical set is valid whenever any set is, so when it fails no
     # subset of any candidate pool can pass
-    canonical = ancestors(graph, treatments | outcomes) - treatments - outcomes - split.amenable
-    if not split.admits(canonical):
+    if not split.admits(split.canonical(graph)):
         return []
     pool = sorted(candidates)
     out: list[frozenset[str]] = []

@@ -20,6 +20,7 @@ serialization.
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -386,30 +387,6 @@ def incident_marks(graph: Admg, v: str):
     return [(w, mv, mw) for w, _, mv, mw in out]
 
 
-def _link_marks(graph: Admg, a: str, b: str, interior: NodeSet) -> set[tuple[str, str]]:
-    """End-mark pairs of collider-free simple paths from a to b through ``interior``.
-
-    Only paths whose internal nodes all lie in ``interior`` count.  A pair
-    (mark_at_a, mark_at_b) is reported once no matter how many paths carry it.
-    """
-    marks: set[tuple[str, str]] = set()
-
-    def walk(v, entry_mark, first_mark, visited):
-        for w, mv, mw in incident_marks(graph, v):
-            if entry_mark == HEAD and mv == HEAD:
-                continue  # collider at v: closed once the interior is marginalized
-            fm = mv if first_mark is None else first_mark
-            if w == b:
-                marks.add((fm, mw))
-                continue
-            if w == a or w in visited or w not in interior:
-                continue
-            walk(w, mw, fm, visited | {w})
-
-    walk(a, None, None, frozenset())
-    return marks
-
-
 def latent_project(graph: Admg, hidden) -> Admg:
     """Marginalize ``hidden`` out of the graph.
 
@@ -417,20 +394,17 @@ def latent_project(graph: Admg, hidden) -> Admg:
     A -> ... -> B runs entirely through hidden nodes, and a bidirected edge
     when some collider-free path with arrowheads at both ends does.
     Projecting the empty set returns the graph unchanged.
+
+    Such a path climbs from each end through hidden ancestors: A -> B when
+    A is a parent of B's hidden-ancestor closure, and A <-> B when the two
+    closures share a hidden node or a bidirected edge joins them.
     """
     hidden = graph.node_subset(hidden)
     keep = tuple(v for v in graph.nodes if v not in hidden)
-    directed = set()
-    bidirected = set()
-    for a in keep:
-        for b in keep:
-            if a == b:
-                continue
-            marks = _link_marks(graph, a, b, hidden)
-            if (TAIL, HEAD) in marks:
-                directed.add((a, b))
-            if a < b and (HEAD, HEAD) in marks:
-                bidirected.add((a, b))
+    up = {b: _closure(graph, frozenset({b}), lambda v: graph.parents(v) & hidden) for b in keep}
+    near = {b: up[b].union(*(graph.spouses(v) for v in up[b])) for b in keep}
+    directed = {(a, b) for b in keep for v in up[b] for a in graph.parents(v) - hidden}
+    bidirected = {tuple(sorted((a, b))) for a, b in combinations(keep, 2) if not near[a].isdisjoint(up[b])}
     return Admg(keep, frozenset(directed), frozenset(bidirected))
 
 
@@ -475,8 +449,6 @@ def topological_order(graph: Admg) -> tuple[str, ...]:
     """Topological order of the directed part, stable in node order."""
     index = {v: i for i, v in enumerate(graph.nodes)}
     indeg = {v: len(graph.parents(v)) for v in graph.nodes}
-    import heapq
-
     ready = [index[v] for v in graph.nodes if indeg[v] == 0]
     heapq.heapify(ready)
     out = []

@@ -2,16 +2,16 @@
 
 Bidirected edges carry arrowheads at both ends, so every rule here treats
 them exactly like a hidden common cause would: a node is a collider on a
-walk when both adjacent edge marks point into it.  One transition rule over
-(node, arrived-by-arrowhead) states drives everything: separation decisions
-are a reachability sweep, and witnesses and inducing paths are a layered
-breadth-first search that returns the least open path in linear time.  The
-path enumerator survives only as the reference checker.
+walk when both adjacent edge marks point into it.  One breadth-first sweep
+over (node, arrived-by-arrowhead) states answers every question: it decides
+separation, lists the nodes connected to a set and finds inducing paths, and
+the witness of a failing decision is the least open path read off the
+layers of the sweep that decided it, in linear time.  The path enumerator
+survives only as the reference checker.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .graph import (
@@ -258,50 +258,21 @@ def _onward(graph: Admg, v: str, came_head: bool | None, given: frozenset[str], 
     return [m for m in marks if (into if came_head and m[1] == HEAD else through)]
 
 
-def _connected_closure(graph: Admg, src: frozenset[str], given: frozenset[str], stop_at: frozenset[str] = frozenset()) -> set[str]:
-    """Nodes reachable from ``src`` along walks kept open by ``given``.
+def _sweep(graph: Admg, first: frozenset[str], second: frozenset[str], given: frozenset[str]):
+    """Breadth-first layers of (node, arrived-by-arrowhead) states on walks
+    from ``first`` kept open by ``given``, up to the first layer that
+    reaches ``second`` (to the end when none does, so an empty last layer
+    means separated).
 
-    Walks never pass through ``src`` or ``stop_at`` internally (they may end
-    there).
-    """
-    open_colliders = ancestors(graph, given)
-    seen: set[tuple[str, bool]] = set()
-    reached: set[str] = set()
-    queue: deque[tuple[str, bool | None]] = deque((a, None) for a in sorted(src))
-    while queue:
-        v, came_head = queue.popleft()
-        for w, _mv, mw in _onward(graph, v, came_head, given, open_colliders):
-            state = (w, mw == HEAD)
-            if state in seen:
-                continue
-            seen.add(state)
-            reached.add(w)
-            if w not in src and w not in stop_at:
-                queue.append(state)
-    return reached
-
-
-def _least_open_path(graph: Admg, first: frozenset[str], second: frozenset[str], given: frozenset[str]) -> Path | None:
-    """The open path from ``first`` to ``second`` with the least
-    ``_path_key`` (length, then node sequence, then arrows), or ``None``.
-
-    Paths touch ``first`` only at the start and ``second`` only at the end,
-    as in :func:`enumerate_paths`.  The search runs over (node,
-    arrived-by-arrowhead) states in three passes, each linear in the graph:
-
-    1. a forward sweep, one breadth-first layer at a time, up to the first
-       layer that reaches ``second``;
-    2. a backward pass keeping the states that lie on a shortest open walk;
-    3. a forward walk taking the least next node at each layer and, per
-       state, the least arrow prefix that reaches it.
-
-    A shortest open walk never repeats a node (:func:`direct_route` would
-    shorten it), so the walk found is the least open path.
+    Walks never re-enter ``first`` and, stopping at the layer that reaches
+    ``second``, never pass through it.  Returns the layers and, for each
+    state before the last layer, its edges onward as (next state, step
+    marks) pairs into the next layer.
     """
     open_colliders = ancestors(graph, given)
     layers = [[(a, None) for a in sorted(first)]]
     depth = {state: 0 for state in layers[0]}
-    onward: dict = {}  # state -> [(next state, step marks)] one layer further
+    onward: dict = {}
     while layers[-1] and not any(v in second for v, _ in layers[-1]):
         d = len(layers)
         nxt = []
@@ -319,9 +290,23 @@ def _least_open_path(graph: Admg, first: frozenset[str], second: frozenset[str],
                     continue
                 edges.append((after, (v, w, mv, mw)))
         layers.append(nxt)
+    return layers, onward
+
+
+def _least_path(layers: list, onward: dict, second: frozenset[str]) -> Path | None:
+    """The open path with the least ``_path_key`` (length, then node
+    sequence, then arrows) in a :func:`_sweep` toward ``second``, or
+    ``None`` when the sweep never reached it.
+
+    Two passes over the layers, each linear in the graph: a backward pass
+    keeping the states that lie on a shortest open walk, then a forward
+    walk taking the least next node at each layer and, per state, the
+    least arrow prefix that reaches it.  A shortest open walk never repeats
+    a node (:func:`direct_route` would shorten it), so the walk found is
+    the least open path.
+    """
     if not layers[-1]:
         return None
-
     alive = {state for state in layers[-1] if state[0] in second}
     for layer in reversed(layers[:-1]):
         alive.update(s for s in layer if any(after in alive for after, _ in onward[s]))
@@ -357,29 +342,22 @@ class SepVerdict:
 
     ``witness`` is ``None`` when separated; otherwise it is the shortest
     open path (ties broken by lexicographic node sequence, then arrows),
-    found on first access by a layered search linear in the graph.
+    read on first access off the layers of the sweep that decided the
+    query, in time linear in the graph.
     """
 
-    __slots__ = ("separated", "_graph", "_first", "_second", "_given", "_witness", "_have_witness")
+    __slots__ = ("separated", "_sweep", "_witness")
 
-    def __init__(self, separated: bool, graph: Admg, first, second, given):
-        self.separated = separated
-        self._graph = graph
-        self._first = first
-        self._second = second
-        self._given = given
+    def __init__(self, layers: list, onward: dict, second: frozenset[str]):
+        self.separated = not layers[-1]
+        self._sweep = None if self.separated else (layers, onward, second)
         self._witness = None
-        self._have_witness = False
 
     @property
     def witness(self) -> Path | None:
-        if self.separated:
-            return None
-        if not self._have_witness:
-            self._witness = _least_open_path(self._graph, self._first, self._second, self._given)
-            if self._witness is None:
-                raise AssertionError("reachability reported a connection but no open path exists")
-            self._have_witness = True
+        if self._sweep is not None:
+            self._witness = _least_path(*self._sweep)
+            self._sweep = None
         return self._witness
 
     def __repr__(self):
@@ -389,20 +367,17 @@ class SepVerdict:
 def d_separated(graph: Admg, first, second, given) -> SepVerdict:
     """Decide whether ``given`` blocks every path between the node sets.
 
-    The three sets must be pairwise disjoint.  The decision runs by
-    reachability; the witness, when the sets are connected, is the least
-    open path under a fixed order, so repeated runs agree exactly.
+    The three sets must be pairwise disjoint.  The decision is one
+    reachability sweep; the witness, when the sets are connected, is the
+    least open path under a fixed order, so repeated runs agree exactly.
     """
     first = graph.node_subset(first)
     second = graph.node_subset(second)
     given = graph.node_subset(given)
     if first & second or first & given or second & given:
         raise GraphError("query sets must be pairwise disjoint")
-    connected = False
-    if first and second:
-        reached = _connected_closure(graph, first, given, stop_at=second)
-        connected = bool(reached & second)
-    return SepVerdict(not connected, graph, first, second, given)
+    layers, onward = _sweep(graph, first, second, given)
+    return SepVerdict(layers, onward, second)
 
 
 def d_connected_nodes(graph: Admg, sources, given) -> frozenset[str]:
@@ -414,7 +389,8 @@ def d_connected_nodes(graph: Admg, sources, given) -> frozenset[str]:
     given = graph.node_subset(given)
     if sources & given:
         raise GraphError("query sets must be pairwise disjoint")
-    return frozenset(_connected_closure(graph, sources, given)) | sources
+    layers, _ = _sweep(graph, sources, frozenset(), given)
+    return frozenset(v for layer in layers for v, _ in layer)
 
 
 def direct_route(graph: Admg, route: Route) -> Path:
@@ -453,4 +429,5 @@ def find_inducing_path(graph: Admg, first, second) -> Path | None:
     second = graph.node_subset(second)
     if first & second:
         raise GraphError("query sets must be pairwise disjoint")
-    return _least_open_path(graph, first, second, ancestors(graph, first | second) - first - second)
+    given = ancestors(graph, first | second) - first - second
+    return _least_path(*_sweep(graph, first, second, given), second)

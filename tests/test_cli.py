@@ -401,6 +401,10 @@ class TestConsoleScript:
         assert json.loads(proc.stdout)["holds"] is True
 
     def test_module_run(self):
-        proc = run_python("-m", "adjustkit.cli", *adjust_query(FIG1C))
-        assert proc.returncode == 1
-        assert json.loads(proc.stdout)["holds"] is False
+        for module in ("adjustkit.cli", "adjustkit"):
+            proc = run_python("-m", module, *adjust_query(FIG1C))
+            assert proc.returncode == 1, (module, proc.stderr)
+            assert json.loads(proc.stdout)["holds"] is False
+            proc = run_python("-m", module, *adjust_query(FIG1B))
+            assert proc.returncode == 0, (module, proc.stderr)
+            assert json.loads(proc.stdout)["holds"] is True

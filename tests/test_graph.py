@@ -1,6 +1,11 @@
 """Graph type, parser, and structural transforms."""
 
+import time
+from itertools import combinations, permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjustkit import (
     Admg,
@@ -20,7 +25,10 @@ from adjustkit import (
     remove_nodes,
     topological_order,
 )
-from conftest import graph_from_edges, load_fixture
+from adjustkit.cli import run
+from adjustkit.graph import HEAD, TAIL
+from adjustkit.separation import enumerate_paths
+from conftest import all_mixed_graphs, graph_from_edges, load_fixture
 
 
 class TestParse:
@@ -229,6 +237,40 @@ class TestCuts:
         assert g.bidirected == {("X", "Y")}
 
 
+def reference_projection(graph, hidden):
+    """Latent projection read off every collider-free path whose interior
+    lies in ``hidden``, one enumeration per ordered pair of kept nodes."""
+    keep = tuple(v for v in graph.nodes if v not in hidden)
+    directed, bidirected = set(), set()
+    for a, b in permutations(keep, 2):
+        for q in enumerate_paths(graph, {a}, {b}):
+            if not set(q.nodes[1:-1]) <= set(hidden):
+                continue
+            if any(q.steps[i - 1].target_mark == HEAD and q.steps[i].source_mark == HEAD for i in range(1, len(q.steps))):
+                continue
+            marks = (q.steps[0].source_mark, q.steps[-1].target_mark)
+            if marks == (TAIL, HEAD):
+                directed.add((a, b))
+            elif marks == (HEAD, HEAD):
+                bidirected.add(tuple(sorted((a, b))))
+    return Admg(keep, frozenset(directed), frozenset(bidirected))
+
+
+@st.composite
+def hidden_cases(draw, max_nodes: int = 7):
+    """A graph of up to ``max_nodes`` nodes, parallel ``->``/``<->`` pairs
+    included, and a set of nodes to hide."""
+    nodes = "ABCDEFG"[: draw(st.integers(min_value=2, max_value=max_nodes))]
+    order = draw(st.permutations(nodes))
+    dir_pairs = [(a, b) for i, a in enumerate(order) for b in order[i + 1 :]]
+    directed = draw(st.sets(st.sampled_from(dir_pairs), max_size=10))
+    bidirected = draw(st.sets(st.sampled_from(list(combinations(nodes, 2))), max_size=6))
+    parallel = draw(st.sets(st.sampled_from(sorted(directed)), max_size=3)) if directed else set()
+    bidirected |= {tuple(sorted(e)) for e in parallel}
+    hidden = draw(st.sets(st.sampled_from(nodes)))
+    return Admg(tuple(nodes), frozenset(directed), frozenset(bidirected)), frozenset(hidden)
+
+
 class TestLatentProjection:
     def test_hidden_confounder_becomes_bidirected(self, fig1c):
         g = graph_from_edges([("U", "X"), ("U", "Y"), ("X", "Z"), ("Z", "Y")])
@@ -284,6 +326,36 @@ class TestLatentProjection:
     def test_expand_then_project_round_trips(self, fig1c):
         dag, mapping = expand_bidirected(fig1c)
         assert latent_project(dag, set(mapping.values())) == fig1c
+
+    def test_matches_collider_free_paths_on_all_three_node_graphs(self):
+        for g in all_mixed_graphs(3):
+            for size in range(4):
+                for hidden in combinations(g.nodes, size):
+                    assert latent_project(g, hidden) == reference_projection(g, hidden), (g, hidden)
+
+    @given(hidden_cases())
+    @settings(deadline=None, max_examples=200)
+    def test_matches_collider_free_paths_on_random_graphs(self, case):
+        g, hidden = case
+        assert latent_project(g, hidden) == reference_projection(g, hidden)
+
+    def test_long_hidden_chain(self, tmp_path):
+        names = [f"V{i}" for i in range(1500)]
+        g = Admg.build(zip(names, names[1:]))
+        projected = latent_project(g, names[1:-1])
+        assert projected == Admg.build([("V0", "V1499")])
+        path = tmp_path / "chain.g"
+        path.write_text(g.to_text())
+        assert run(["project", "--graph", str(path), "-M", ",".join(names[1:-1])]) == 0
+
+    def test_dense_hidden_dag_is_fast(self):
+        hidden = [f"H{i}" for i in range(14)]
+        order = ["A", *hidden, "B"]
+        g = Admg.build(combinations(order, 2))
+        start = time.perf_counter()
+        projected = latent_project(g, hidden)
+        assert time.perf_counter() - start < 1.0
+        assert projected == Admg.build([("A", "B")])
 
 
 class TestProperCausalNodes:

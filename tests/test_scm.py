@@ -20,6 +20,7 @@ from adjustkit import (
     search_counterexample,
     verify_soundness,
 )
+from adjustkit import scm as scm_module
 from adjustkit.scm import DiscreteScm, independence_gap
 from conftest import graph_from_edges
 
@@ -406,6 +407,14 @@ class TestSerialization:
         doc["parents"]["Y"] = list(reversed(doc["parents"]["Y"]))
         with pytest.raises(ValueError):
             scm_from_json(doc)
+
+    def test_load_projects_once(self, fig1c, monkeypatch):
+        doc = scm_to_json(random_scm(fig1c, seed=13))
+        calls = []
+        project = scm_module.latent_project
+        monkeypatch.setattr(scm_module, "latent_project", lambda *args: calls.append(args) or project(*args))
+        scm_from_json(doc)
+        assert len(calls) == 1
 
     def test_json_serializable(self, fig1a):
         import json

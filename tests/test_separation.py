@@ -507,3 +507,21 @@ class TestLargeGraphs:
                 assert (witness.start, witness.end) == (x, y)
                 assert not path_blocked(g, witness, z)
         assert failing >= 10
+
+    def test_connected_nodes_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(77)
+        n = 200
+        names = [f"V{i}" for i in range(n)]
+        directed = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 3 / n]
+        bidirected = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 1 / n]
+        g = Admg.build(directed, bidirected, names)
+        dag, _ = expand_bidirected(g)
+        nxg = nx.DiGraph(list(dag.directed))
+        nxg.add_nodes_from(dag.nodes)
+        for _ in range(5):
+            drawn = rng.sample(names, 3 + n // 10)
+            sources, given = set(drawn[:3]), set(drawn[3:])
+            connected = d_connected_nodes(g, sources, given)
+            for v in set(names) - sources - given:
+                assert (v in connected) == (not nx.is_d_separator(nxg, sources, {v}, given)), v
