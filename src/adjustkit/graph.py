@@ -23,7 +23,6 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
-from itertools import combinations
 
 HEAD = "head"
 TAIL = "tail"
@@ -402,9 +401,19 @@ def latent_project(graph: Admg, hidden) -> Admg:
     hidden = graph.node_subset(hidden)
     keep = tuple(v for v in graph.nodes if v not in hidden)
     up = {b: _closure(graph, frozenset({b}), lambda v: graph.parents(v) & hidden) for b in keep}
-    near = {b: up[b].union(*(graph.spouses(v) for v in up[b])) for b in keep}
+    holders: dict[str, list[str]] = {}  # node -> kept nodes whose closure holds it
+    for b in keep:
+        for v in up[b]:
+            holders.setdefault(v, []).append(b)
     directed = {(a, b) for b in keep for v in up[b] for a in graph.parents(v) - hidden}
-    bidirected = {tuple(sorted((a, b))) for a, b in combinations(keep, 2) if not near[a].isdisjoint(up[b])}
+    bidirected = {
+        tuple(sorted((a, b)))
+        for a in keep
+        for v in up[a]
+        for u in graph.spouses(v) | {v}
+        for b in holders.get(u, ())
+        if b != a
+    }
     return Admg(keep, frozenset(directed), frozenset(bidirected))
 
 

@@ -9,9 +9,10 @@ from functools import lru_cache
 from itertools import combinations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from adjustkit import Admg, AdjustmentQuery, CycleError, parse_graph
+from adjustkit import Admg, AdjustmentQuery, CycleError, Dist, joint_observed, parse_graph, random_scm
 from adjustkit.separation import Path as GraphPath
 from adjustkit.separation import Route, Step, enumerate_paths, path_blocked
 from adjustkit.graph import incident_marks
@@ -198,3 +199,109 @@ def route_from_paths(first: GraphPath, second: GraphPath) -> Route:
     """Concatenate two paths sharing an endpoint into one route."""
     assert first.end == second.start
     return Route(first.start, first.steps + second.steps)
+
+
+# --- exact-oracle references: one treatment value and one cell at a time -----
+
+
+def reference_truth(scm, x, outcomes) -> np.ndarray:
+    """P(outcomes | do(x)) over name-sorted outcome axes: the product of the
+    non-intervened tables with each treatment clamped to its value."""
+    names = sorted(scm.domains)
+    acc = np.ones([scm.domains[n] for n in names])
+    for v in names:
+        if v in x:
+            continue
+        axes = scm.parent_list(v) + [v]
+        table = np.transpose(scm.cpts[v], sorted(range(len(axes)), key=lambda i: names.index(axes[i])))
+        shape = [scm.domains[n] if n in axes else 1 for n in names]
+        acc = acc * table.reshape(shape)
+    acc = acc[tuple(x[n] if n in x else slice(None) for n in names)]
+    rest = [n for n in names if n not in x]
+    acc = acc.sum(axis=tuple(i for i, n in enumerate(rest) if n not in outcomes))
+    return acc / acc.sum()
+
+
+def reference_estimand(joint: Dist, x, outcomes, covariates) -> np.ndarray:
+    """sum_z P(y | x, z) P(z) for one x, by marginals and slices of ``joint``."""
+    outcomes, covariates = frozenset(outcomes), frozenset(covariates)
+    pxyz = joint.marginal(frozenset(x) | outcomes | covariates).slice_at(x)
+    pxz = joint.marginal(frozenset(x) | covariates).slice_at(x)
+    pz = joint.marginal(covariates)
+    out = np.zeros([pxyz.sizes[pxyz.names.index(n)] for n in sorted(outcomes)])
+    for cell in product(*[range(s) for s in pz.sizes]):
+        z = dict(zip(pz.names, cell))
+        if pz.cell(z) > 0:
+            out += pxyz.slice_at(z).probs * pz.cell(z) / pxz.cell(z)
+    return out
+
+
+def reference_gaps(graph: Admg, query: AdjustmentQuery, trials: int, seed: int):
+    """Per trial, per x in product order: (scm, x, max-abs gap, total variation)."""
+    names = sorted(query.treatments)
+    for trial in range(trials):
+        scm = random_scm(graph, seed + trial)
+        joint = joint_observed(scm)
+        for combo in product(*[range(scm.domains[n]) for n in names]):
+            x = dict(zip(names, combo))
+            diff = reference_estimand(joint, x, query.outcomes, query.covariates) - reference_truth(
+                scm, x, query.outcomes
+            )
+            yield scm, trial, x, float(np.abs(diff).max()), 0.5 * float(np.abs(diff).sum())
+
+
+def reference_verify(graph: Admg, query: AdjustmentQuery, trials: int, tol: float, seed: int):
+    """(passed, failures, max gap) of a soundness check, one x at a time."""
+    failures, max_gap = [], 0.0
+    for scm, trial, x, gap, _tv in reference_gaps(graph, query, trials, seed):
+        max_gap = max(max_gap, gap)
+        if gap > tol:
+            failures.append({"seed": seed + trial, "x": x, "gap": gap})
+    return not failures, failures, max_gap
+
+
+def reference_refute(graph: Admg, query: AdjustmentQuery, trials: int, delta: float, seed: int):
+    """(trial, scm_seed, gap, x) of the first trial whose largest total
+    variation, first in product order on ties, exceeds ``delta``; or None."""
+    for trial in range(trials):
+        worst_gap, worst_x = 0.0, None
+        for _scm, _trial, x, _gap, tv in reference_gaps(graph, query, 1, seed + trial):
+            if tv > worst_gap:
+                worst_gap, worst_x = tv, x
+        if worst_gap > delta:
+            return trial, seed + trial, worst_gap, worst_x
+    return None
+
+
+def reference_counterfactual_joint(scm, terms) -> tuple[tuple[str, ...], np.ndarray]:
+    """The counterfactual joint by a loop over every latent and free value."""
+    by_label = {}
+    for node, intervention in terms:
+        items = tuple(sorted((intervention or {}).items()))
+        label = node if not items else f"{node}@do({','.join(f'{k}={v}' for k, v in items)})"
+        by_label[label] = (node, items)
+    worlds = sorted({items for _, items in by_label.values()})
+    intervened = [dict(items) for items in worlds]
+    free = [(w, v) for w in range(len(worlds)) for v in scm.observed if v not in intervened[w]]
+    order = tuple(sorted(by_label))
+    probs = np.zeros([scm.domains[by_label[lab][0]] for lab in order])
+    cum = {v: np.concatenate([np.zeros(scm.cpts[v].shape[:-1] + (1,)), np.cumsum(scm.cpts[v], axis=-1)], axis=-1) for v in scm.observed}
+    for lat_vals in product(*[range(scm.domains[u]) for u in scm.latents]):
+        lat = dict(zip(scm.latents, lat_vals))
+        p_lat = float(np.prod([scm.cpts[u][val] for u, val in lat.items()]))
+        for free_vals in product(*[range(scm.domains[v]) for _, v in free]):
+            values = [dict(base) for base in intervened]
+            for (w, v), val in zip(free, free_vals):
+                values[w][v] = val
+            p = p_lat
+            for v in scm.observed:
+                lo, hi = 0.0, 1.0
+                for w in range(len(worlds)):
+                    if v not in intervened[w]:
+                        row = tuple(lat[q] if q in lat else values[w][q] for q in scm.parent_list(v))
+                        lo = max(lo, float(cum[v][row + (values[w][v],)]))
+                        hi = min(hi, float(cum[v][row + (values[w][v] + 1,)]))
+                p *= max(hi - lo, 0.0)
+            if p > 0.0:
+                probs[tuple(values[worlds.index(by_label[lab][1])][by_label[lab][0]] for lab in order)] += p
+    return order, probs / probs.sum()

@@ -137,7 +137,7 @@ def test_criterion_3_soundness_sweep():
             if holding >= 20:
                 break
     elapsed = time.perf_counter() - started
-    assert elapsed < 300.0
+    assert elapsed < 30.0
     print(
         f"PASS criterion 3: {checked} holding queries x 20 trials sound, "
         f"max gap {worst_gap:.2e} ({elapsed:.1f}s)"

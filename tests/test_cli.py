@@ -338,6 +338,24 @@ class TestOracleVerbs:
         assert code == 2
         assert "no counterexample to search for" in err
 
+    @pytest.mark.parametrize(
+        "verb, graph, option, value",
+        [
+            ("verify", FIG1A, "--trials", "0"),
+            ("verify", FIG1A, "--tol", "-1e-9"),
+            ("refute", FIG1C, "--trials", "-3"),
+            ("refute", FIG1C, "--delta", "-0.01"),
+        ],
+    )
+    def test_rejects_empty_or_negative_settings(self, capsys, verb, graph, option, value):
+        # a run of zero trials would report "verified" or "no counterexample"
+        code, out, err = invoke(
+            capsys, verb, "--graph", graph, "-X", "X", "-Y", "Y", "-Z", "Z", f"{option}={value}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 # Directory the ``adjustkit`` under test was imported from, so that child
 # processes run this code whether or not the package is installed.

@@ -272,6 +272,16 @@ def hidden_cases(draw, max_nodes: int = 7):
 
 
 class TestLatentProjection:
+    def test_sparse_projection_is_output_sized(self):
+        # no pair of kept nodes shares a closure, so no pair is examined
+        nodes = tuple(f"K{i}" for i in range(20000)) + ("H",)
+        graph = Admg(nodes, frozenset(), frozenset())
+        started = time.perf_counter()
+        projected = latent_project(graph, {"H"})
+        assert time.perf_counter() - started < 1.0
+        assert projected.nodes == nodes[:-1]
+        assert not projected.directed and not projected.bidirected
+
     def test_hidden_confounder_becomes_bidirected(self, fig1c):
         g = graph_from_edges([("U", "X"), ("U", "Y"), ("X", "Z"), ("Z", "Y")])
         projected = latent_project(g, {"U"})

@@ -1,6 +1,9 @@
 """Discrete structural models: exact joints, interventions, counterfactuals."""
 
 import dataclasses
+import random
+import time
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -21,8 +24,18 @@ from adjustkit import (
     verify_soundness,
 )
 from adjustkit import scm as scm_module
+from adjustkit.criteria import adjustment_criterion
 from adjustkit.scm import DiscreteScm, independence_gap
-from conftest import graph_from_edges
+from conftest import (
+    all_mixed_graphs,
+    all_queries,
+    graph_family,
+    graph_from_edges,
+    reference_counterfactual_joint,
+    reference_gaps,
+    reference_refute,
+    reference_verify,
+)
 
 
 def q(x, y, z=()):
@@ -32,6 +45,22 @@ def q(x, y, z=()):
 def chain_graph(n):
     names = [f"N{i}" for i in range(n)]
     return graph_from_edges([(names[i], names[i + 1]) for i in range(n - 1)])
+
+
+def confounded_chain(n, n_bi):
+    """V0 -> ... -> V(n-1) plus ``n_bi`` seeded bidirected pairs."""
+    names = [f"V{i}" for i in range(n)]
+    pairs = random.Random(10 * n + n_bi).sample(list(combinations(names, 2)), n_bi)
+    return graph_from_edges(list(zip(names, names[1:])), pairs)
+
+
+def term_sets(x, z, y):
+    """Factual plus do, two do-worlds, and a node intervened in its own world."""
+    return [
+        [(y, None), (y, {x: 1})],
+        [(y, {x: 0}), (y, {x: 1})],
+        [(x, {x: 1}), (y, {x: 1}), (z, {})],
+    ]
 
 
 class TestDist:
@@ -175,6 +204,14 @@ class TestJointObserved:
         )
         assert worst > 1e-4
 
+    def test_callers_cannot_change_the_cached_joint(self, fig1a):
+        scm = random_scm(fig1a, seed=0)
+        joint = joint_observed(scm)
+        with pytest.raises(ValueError):
+            joint.probs[0] = 0.0
+        joint.probs = np.zeros_like(joint.probs)
+        assert joint_observed(scm).probs.sum() == pytest.approx(1.0)
+
     def test_state_space_guard(self):
         scm = random_scm(chain_graph(21), seed=0)
         with pytest.raises(StateSpaceError):
@@ -271,6 +308,33 @@ class TestAdjustmentEstimand:
 
 
 class TestCounterfactualJoint:
+    @staticmethod
+    def assert_matches_reference(scm, terms):
+        dist = counterfactual_joint(scm, terms)
+        names, probs = reference_counterfactual_joint(scm, terms)
+        assert dist.names == names
+        assert np.abs(dist.probs - probs).max() <= 1e-12
+
+    def test_matches_reference_loop_on_all_3_node_admgs(self):
+        for index, graph in enumerate(all_mixed_graphs(3)):
+            scm = random_scm(graph, seed=index)
+            for terms in term_sets("A", "B", "C"):
+                self.assert_matches_reference(scm, terms)
+
+    @pytest.mark.parametrize("n, n_bi", [(n, bi) for n in (5, 6) for bi in (1, 2, 3)])
+    def test_matches_reference_loop_on_chains(self, n, n_bi):
+        scm = random_scm(confounded_chain(n, n_bi), seed=n_bi)
+        for terms in term_sets("V0", "V1", f"V{n - 1}"):
+            self.assert_matches_reference(scm, terms)
+
+    def test_eight_node_chain_with_four_latents_is_fast(self):
+        scm = random_scm(confounded_chain(8, 4), seed=0)
+        started = time.perf_counter()
+        dist = counterfactual_joint(scm, [("V7", None), ("V7", {"V0": 1})])
+        assert time.perf_counter() - started < 1.0
+        truth = interventional(scm, {"V0": 1}, {"V7"})
+        assert np.abs(dist.marginal({"V7@do(V0=1)"}).probs - truth.probs).max() <= 1e-9
+
     def test_factual_marginal_matches_joint(self, fig1c):
         scm = random_scm(fig1c, seed=6)
         dist = counterfactual_joint(scm, [("Y", {})])
@@ -332,6 +396,11 @@ class TestCounterfactualJoint:
 
 
 class TestSearchCounterexample:
+    @pytest.mark.parametrize("kwargs", [{"trials": 0}, {"trials": -3}, {"delta": -0.01}])
+    def test_rejects_empty_or_negative_settings(self, fig1c, kwargs):
+        with pytest.raises(ValueError):
+            search_counterexample(fig1c, q(["X"], ["Y"], ["Z"]), **kwargs)
+
     def test_finds_mediator_bias(self, fig1c):
         found = search_counterexample(fig1c, q(["X"], ["Y"], ["Z"]), trials=50, seed=0)
         assert found is not None
@@ -362,6 +431,11 @@ class TestSearchCounterexample:
 
 
 class TestVerifySoundness:
+    @pytest.mark.parametrize("kwargs", [{"trials": 0}, {"trials": -3}, {"tol": -1e-9}])
+    def test_rejects_empty_or_negative_settings(self, fig1a, kwargs):
+        with pytest.raises(ValueError):
+            verify_soundness(fig1a, q(["X"], ["Y"], ["Z"]), **kwargs)
+
     def test_fork(self, fig1a):
         report = verify_soundness(fig1a, q(["X"], ["Y"], ["Z"]), trials=20, seed=0)
         assert report.passed
@@ -387,6 +461,62 @@ class TestVerifySoundness:
         report = verify_soundness(fig1a, q(["X"], ["Y"], ["Z"]), trials=5, seed=3)
         assert report.worst_seed in range(3, 8)
         assert set(report.worst_x) == {"X"}
+
+
+class TestAgainstPerTreatmentReference:
+    """The batched oracle against a loop over one treatment value at a time."""
+
+    @staticmethod
+    def family_queries(holds, per_graph=4):
+        for index, graph in enumerate(graph_family()[:100]):
+            picked = [query for query in all_queries(graph) if adjustment_criterion(graph, query).holds == holds]
+            for query in picked[:per_graph]:
+                yield index, graph, query
+
+    def test_verify(self):
+        for _index, graph, query in self.family_queries(holds=True):
+            report = verify_soundness(graph, query, trials=5, tol=1e-9, seed=0)
+            passed, failures, max_gap = reference_verify(graph, query, 5, 1e-9, 0)
+            assert (report.passed, report.failures) == (passed, failures)
+            assert abs(report.max_gap - max_gap) <= 1e-12
+
+    def test_refute(self):
+        for index, graph, query in self.family_queries(holds=False):
+            found = search_counterexample(graph, query, trials=30, delta=0.01, seed=index)
+            expected = reference_refute(graph, query, 30, 0.01, index)
+            if found is None or expected is None:
+                assert found is expected
+                continue
+            trial, scm_seed, gap, x = expected
+            assert (found.trial, found.scm_seed) == (trial, scm_seed)
+            assert abs(found.gap - gap) <= 1e-12
+            if found.x != x:
+                # only a tie may pick another treatment value
+                tv = {tuple(sorted(r[2].items())): r[4] for r in reference_gaps(graph, query, 1, scm_seed)}
+                assert abs(tv[tuple(sorted(found.x.items()))] - gap) <= 1e-12
+
+    def test_positivity_names_the_first_bad_cell_of_the_first_bad_treatment_value(self, monkeypatch):
+        # X2 = 1 never happens when Z2 = 1, so in product order over (X1, X2)
+        # the first violation is at x = (0, 1), covariate cell (Z1, Z2) = (0, 1).
+        edges = [("Z1", "X1"), ("Z2", "X2"), ("X1", "Y"), ("X2", "Y"), ("Z1", "Y"), ("Z2", "Y")]
+        query = q(["X1", "X2"], ["Y"], ["Z1", "Z2"])
+        # X1 <-> Y makes the same query fail, for the counterexample search
+        for bidirected, check in (((), verify_soundness), ([("X1", "Y")], search_counterexample)):
+            graph = graph_from_edges(edges, bidirected)
+            drawn = random_scm(graph, seed=0)
+            scm = dataclasses.replace(drawn, cpts={**drawn.cpts, "X2": np.array([[0.5, 0.5], [1.0, 0.0]])})
+            joint = joint_observed(scm)
+            raised = []
+            for x1, x2 in product((0, 1), repeat=2):
+                try:
+                    adjustment_estimand(joint, {"X1": x1, "X2": x2}, {"Y"}, {"Z1", "Z2"})
+                except PositivityError as err:
+                    raised.append(((x1, x2), err.assignment))
+            assert raised == [((0, 1), {"Z1": 0, "Z2": 1}), ((1, 1), {"Z1": 0, "Z2": 1})]
+            monkeypatch.setattr(scm_module, "random_scm", lambda *args, scm=scm: scm)
+            with pytest.raises(PositivityError) as err:
+                check(graph, query, trials=1)
+            assert err.value.assignment == {"Z1": 0, "Z2": 1}
 
 
 class TestSerialization:
