@@ -32,7 +32,6 @@ from .graph import (
     cut_incoming,
     cut_outgoing,
     descendants,
-    proper_causal_nodes,
     remove_nodes,
 )
 from .separation import (
@@ -187,8 +186,8 @@ def _split(graph: Admg, treatments, outcomes) -> _Split:
     mutilated = cut_incoming(graph, treatments)
     amenable = (descendants(mutilated, treatments) & ancestors(mutilated, outcomes)) - treatments
     forbidden = descendants(mutilated, amenable)
-    drop = {(a, b) for (a, b) in graph.directed if a in treatments and b in amenable}
-    backdoor = Admg(graph.nodes, graph.directed - drop, graph.bidirected) if drop else graph
+    drop = {(a, b) for a in treatments for b in graph.children(a) & amenable}
+    backdoor = graph._edit(drop_directed=drop) if drop else graph
     return _Split(treatments, outcomes, mutilated, amenable, forbidden, backdoor)
 
 
@@ -213,9 +212,7 @@ def adjustment_criterion(graph: Admg, query: AdjustmentQuery, mode: str = "fast"
     offenders = sorted(z & split.forbidden)
     if offenders:
         offender = offenders[0]
-        causal_node = min(
-            w for w in split.amenable if offender in descendants(split.mutilated, frozenset({w}))
-        )
+        causal_node = min(split.amenable & ancestors(split.mutilated, {offender}))
         return CriterionVerdict(False, ForbiddenDescendant(offender, causal_node))
 
     if mode == "reference":
@@ -248,10 +245,7 @@ def canonical_adjustment_set(graph: Admg, treatments, outcomes) -> frozenset[str
     """Ancestors of treatments or outcomes, minus both sets and minus every
     node on a proper causal path.  Valid whenever any valid set exists.
     """
-    treatments = graph.node_subset(treatments)
-    outcomes = graph.node_subset(outcomes)
-    pcn = proper_causal_nodes(graph, treatments, outcomes)
-    return ancestors(graph, treatments | outcomes) - treatments - outcomes - pcn
+    return _split(graph, treatments, outcomes).canonical(graph)
 
 
 def exists_adjustment_set(graph: Admg, treatments, outcomes) -> bool:
@@ -313,7 +307,7 @@ def magnify(graph: Admg, mediated_edges=()) -> Admg:
         a, b = sorted(unknown)[0]
         raise GraphError(f"cannot mediate {a} -> {b}: not a directed edge of the graph")
     taken = set(graph.nodes)
-    directed = set(graph.directed) - mediated
+    directed = set()
     extra: list[str] = []
     for a, b in sorted(graph.bidirected):
         w = _pair_name("__W", a, b, taken)
@@ -325,7 +319,8 @@ def magnify(graph: Admg, mediated_edges=()) -> Admg:
         extra.append(c)
         directed.add((a, c))
         directed.add((c, b))
-    return Admg(graph.nodes + tuple(extra), frozenset(directed), frozenset())
+    return graph._edit(drop_directed=mediated, drop_bidirected=graph.bidirected,
+                       add_nodes=extra, add_directed=directed)
 
 
 def helper_conditioning_set(graph: Admg, treatments, outcomes, covariates) -> frozenset[str]:

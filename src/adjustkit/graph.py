@@ -16,6 +16,12 @@ A small text format is supported for files and pipelines::
 Nodes may be declared up front with ``node`` lines or implicitly at first
 mention in an edge.  Node order is first-mention order and is preserved by
 serialization.
+
+Graphs come from two constructors.  The public ``Admg(...)`` (and so
+``parse_graph`` and ``Admg.build``) checks names, edge ends, pair order and
+acyclicity.  ``Admg._edit`` trusts its caller: it patches an already-checked
+graph's adjacency and is used only by transforms whose results are valid by
+construction, because they drop edges or add fresh nodes.
 """
 
 from __future__ import annotations
@@ -73,6 +79,7 @@ class UnknownNodeError(GraphError):
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:@do)?")
+_SPACE_RE = re.compile(r"\s")
 
 
 @dataclass(frozen=True, repr=False)
@@ -94,7 +101,7 @@ class Admg:
         object.__setattr__(self, "bidirected", frozenset(self.bidirected))
         known = set()
         for name in self.nodes:
-            if not name or not isinstance(name, str) or any(c.isspace() for c in name):
+            if not name or not isinstance(name, str) or _SPACE_RE.search(name):
                 raise GraphError(f"bad node name: {name!r}")
             if name in known:
                 raise GraphError(f"node {name} listed twice")
@@ -140,6 +147,40 @@ class Admg:
         if seen != len(self.nodes):
             cycle = sorted(v for v, d in indeg.items() if d > 0)
             raise CycleError(f"cycle detected in directed part (involving {', '.join(cycle)})")
+
+    def _edit(self, drop_nodes=frozenset(), drop_directed=frozenset(), drop_bidirected=frozenset(),
+              add_nodes=(), add_directed=frozenset(), add_bidirected=frozenset()) -> "Admg":
+        """A graph derived from this one without any check: the caller drops
+        every edge at a dropped node, adds only fresh nodes (they go last) and
+        name-sorted pairs, and closes no directed cycle.  Only the adjacency
+        entries whose edges change are rebuilt."""
+        tables = (dict(self._parents), dict(self._children), dict(self._spouses))
+        for table in tables:
+            for v in drop_nodes:
+                del table[v]
+            table.update(dict.fromkeys(add_nodes, frozenset()))
+        for op, directed, bidirected in ((frozenset.difference, drop_directed, drop_bidirected),
+                                         (frozenset.union, add_directed, add_bidirected)):
+            delta: dict[tuple[int, str], set[str]] = {}  # (table, node) -> changed neighbours
+            for a, b in directed:
+                delta.setdefault((0, b), set()).add(a)
+                delta.setdefault((1, a), set()).add(b)
+            for a, b in bidirected:
+                delta.setdefault((2, a), set()).add(b)
+                delta.setdefault((2, b), set()).add(a)
+            for (k, v), changed in delta.items():
+                if v in tables[k]:  # a dropped node's entry is gone
+                    tables[k][v] = op(tables[k][v], changed)
+        nodes = tuple(v for v in self.nodes if v not in drop_nodes) if drop_nodes else self.nodes
+        out = object.__new__(Admg)
+        out.__dict__.update(  # frozen dataclass: set the fields directly
+            nodes=nodes + tuple(add_nodes),
+            directed=self.directed - drop_directed | add_directed,
+            bidirected=self.bidirected - drop_bidirected | add_bidirected,
+            _parents=tables[0], _children=tables[1], _spouses=tables[2],
+            _anc_cache={}, _desc_cache={},
+        )
+        return out
 
     @classmethod
     def build(cls, directed=(), bidirected=(), nodes=()) -> "Admg":
@@ -347,26 +388,29 @@ def cut_incoming(graph: Admg, targets) -> Admg:
     Directed edges pointing into the set and bidirected edges touching it
     are removed; this is the graph after an intervention on ``targets``.
     """
-    targets = graph.node_subset(targets)
-    directed = frozenset(e for e in graph.directed if e[1] not in targets)
-    bidirected = frozenset(e for e in graph.bidirected if e[0] not in targets and e[1] not in targets)
-    return Admg(graph.nodes, directed, bidirected)
+    into, _, bidirected = _edges_at(graph, graph.node_subset(targets))
+    return graph._edit(drop_directed=into, drop_bidirected=bidirected)
 
 
 def cut_outgoing(graph: Admg, sources) -> Admg:
     """Drop directed edges whose tail is in ``sources``; bidirected edges stay."""
-    sources = graph.node_subset(sources)
-    directed = frozenset(e for e in graph.directed if e[0] not in sources)
-    return Admg(graph.nodes, directed, graph.bidirected)
+    return graph._edit(drop_directed=_edges_at(graph, graph.node_subset(sources))[1])
 
 
 def remove_nodes(graph: Admg, dropped) -> Admg:
     """Delete nodes together with every edge that touches them."""
     dropped = graph.node_subset(dropped)
-    keep = tuple(v for v in graph.nodes if v not in dropped)
-    directed = frozenset(e for e in graph.directed if e[0] not in dropped and e[1] not in dropped)
-    bidirected = frozenset(e for e in graph.bidirected if e[0] not in dropped and e[1] not in dropped)
-    return Admg(keep, directed, bidirected)
+    into, out, bidirected = _edges_at(graph, dropped)
+    return graph._edit(drop_nodes=dropped, drop_directed=into | out, drop_bidirected=bidirected)
+
+
+def _edges_at(graph: Admg, nodes: NodeSet):
+    """Directed edges into and out of ``nodes``, and bidirected pairs touching them."""
+    return (
+        {(p, v) for v in nodes for p in graph._parents[v]},
+        {(v, c) for v in nodes for c in graph._children[v]},
+        {tuple(sorted((v, s))) for v in nodes for s in graph._spouses[v]},
+    )
 
 
 def incident_marks(graph: Admg, v: str):
@@ -443,15 +487,14 @@ def expand_bidirected(graph: Admg, prefix: str = "__U") -> tuple[Admg, dict[tupl
     """
     taken = set(graph.nodes)
     mapping: dict[tuple[str, str], str] = {}
-    directed = set(graph.directed)
-    extra = []
+    directed = set()
     for a, b in sorted(graph.bidirected):
         u = _pair_name(prefix, a, b, taken)
         mapping[(a, b)] = u
-        extra.append(u)
         directed.add((u, a))
         directed.add((u, b))
-    return Admg(graph.nodes + tuple(extra), frozenset(directed), frozenset()), mapping
+    expanded = graph._edit(drop_bidirected=graph.bidirected, add_nodes=mapping.values(), add_directed=directed)
+    return expanded, mapping
 
 
 def topological_order(graph: Admg) -> tuple[str, ...]:

@@ -54,11 +54,7 @@ def twin_network(graph: Admg, treatments) -> TwinGraph:
             copy_of[v] = _fresh(stem, taken, COUNTERFACTUAL_SUFFIX)
         else:
             copy_of[v] = v
-    directed: set[tuple[str, str]] = set()
-    for a, b in graph.directed:
-        directed.add((a, b))
-        if b in affected and b not in treatments:
-            directed.add((copy_of[a], copy_of[b]))
+    directed = {(copy_of[a], copy_of[b]) for b in affected - treatments for a in graph.parents(b)}
     latents: list[str] = []
     for a, b in sorted(graph.bidirected):
         u = _pair_name("__U", a, b, taken)
@@ -67,12 +63,8 @@ def twin_network(graph: Admg, treatments) -> TwinGraph:
             directed.add((u, end))
             if end in affected and end not in treatments:
                 directed.add((u, copy_of[end]))
-    nodes = (
-        graph.nodes
-        + tuple(copy_of[v] for v in graph.nodes if v in affected)
-        + tuple(latents)
-    )
-    twin = Admg(nodes, frozenset(directed), frozenset())
+    copies = tuple(copy_of[v] for v in graph.nodes if v in affected)
+    twin = graph._edit(drop_bidirected=graph.bidirected, add_nodes=copies + tuple(latents), add_directed=directed)
     return TwinGraph(twin, {v: v for v in graph.nodes}, copy_of)
 
 
@@ -95,7 +87,7 @@ def noise_linked(twin: TwinGraph) -> Admg:
         # node inherits at least one parent from the mutilated graph
         if copy != v and twin.graph.parents(copy)
     )
-    return Admg(twin.graph.nodes, twin.graph.directed, twin.graph.bidirected | links)
+    return twin.graph._edit(add_bidirected=links)
 
 
 def graphical_ignorability(graph: Admg, query) -> bool:

@@ -8,26 +8,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjustkit import (
+    AdjustmentQuery,
     Admg,
     CycleError,
     GraphError,
     GraphParseError,
     UnknownNodeError,
+    adjustment_criterion,
     ancestors,
+    backdoor_criterion,
+    canonical_adjustment_set,
     cut_incoming,
     cut_outgoing,
     descendants,
+    enumerate_adjustment_sets,
+    exists_adjustment_set,
     expand_bidirected,
+    graphical_ignorability,
     latent_project,
+    magnification_check,
+    magnify,
     parse_graph,
+    proper_backdoor_graph,
     proper_causal_nodes,
     random_scm,
     remove_nodes,
     topological_order,
 )
 from adjustkit.cli import run
-from adjustkit.graph import HEAD, TAIL
-from adjustkit.separation import enumerate_paths
+from adjustkit.graph import _SPACE_RE, HEAD, TAIL
+from adjustkit.separation import enumerate_paths, find_inducing_path
+from adjustkit.twin import noise_linked, twin_network
 from conftest import all_mixed_graphs, graph_from_edges, load_fixture
 
 
@@ -138,6 +149,28 @@ class TestAdmgValue:
     def test_constructor_rejects_bad_name(self):
         with pytest.raises(GraphError):
             Admg(("A B",), frozenset(), frozenset())
+
+    @pytest.mark.parametrize("name", ["", 7, None, ("A",), "A\tB", "A\u00a0B", "A\n"])
+    def test_constructor_rejects_empty_non_str_and_spaced_names(self, name):
+        with pytest.raises(GraphError, match="bad node name"):
+            Admg((name,), frozenset(), frozenset())
+
+    def test_space_pattern_agrees_with_isspace_on_every_code_point(self):
+        every = "".join(map(chr, range(0x110000)))
+        matched = {m.start() for m in _SPACE_RE.finditer(every)}
+        assert matched == {i for i, c in enumerate(every) if c.isspace()}
+
+    def test_constructor_rejects_direct_cycle(self):
+        with pytest.raises(CycleError):
+            Admg(("A", "B", "C"), frozenset({("A", "B"), ("B", "C"), ("C", "A")}), frozenset())
+
+    def test_constructor_rejects_directed_self_loop(self):
+        with pytest.raises(GraphError, match="self-loop on A"):
+            Admg(("A",), frozenset({("A", "A")}), frozenset())
+
+    def test_constructor_rejects_bidirected_self_loop(self):
+        with pytest.raises(GraphError, match="self-loop on A"):
+            Admg(("A",), frozenset(), frozenset({("A", "A")}))
 
     def test_equality_is_structural(self):
         a = graph_from_edges([("A", "B")])
@@ -393,6 +426,97 @@ class TestProperCausalNodes:
         for g in (fig1a, fig1b, fig1c):
             pcn = proper_causal_nodes(g, {"X"}, {"Y"})
             assert pcn <= descendants(g, {"X"}) & ancestors(g, {"Y"})
+
+
+def derived_graphs(graph, targets):
+    """Every transform's result on ``graph`` for the node set ``targets``."""
+    twin = twin_network(graph, targets)
+    out = [
+        cut_incoming(graph, targets),
+        cut_outgoing(graph, targets),
+        remove_nodes(graph, targets),
+        expand_bidirected(graph)[0],
+        magnify(graph, {e for e in graph.directed if e[0] in targets}),
+        twin.graph,
+        noise_linked(twin),
+    ]
+    rest = [v for v in graph.nodes if v not in targets]
+    if targets and rest:
+        out.append(proper_backdoor_graph(graph, targets, rest[:1]))
+    return out
+
+
+def assert_matches_checked_build(derived, parent):
+    """``derived`` equals the checked constructor's graph on its own edges,
+    adjacency tables included, and holds no closure of ``parent``."""
+    checked = Admg(derived.nodes, derived.directed, derived.bidirected)
+    assert derived.nodes == checked.nodes
+    assert derived.directed == checked.directed
+    assert derived.bidirected == checked.bidirected
+    for table in ("_parents", "_children", "_spouses"):
+        assert list(getattr(derived, table).items()) == list(getattr(checked, table).items())
+    if derived is not parent:
+        assert derived._anc_cache == {} and derived._anc_cache is not parent._anc_cache
+        assert derived._desc_cache == {} and derived._desc_cache is not parent._desc_cache
+    for v in derived.nodes:
+        assert ancestors(derived, {v}) == ancestors(checked, {v})
+        assert descendants(derived, {v}) == descendants(checked, {v})
+
+
+def fill_caches(graph):
+    ancestors(graph, graph.nodes)
+    descendants(graph, graph.nodes)
+    return graph
+
+
+class TestDerivedGraphs:
+    """Transforms build their results through the unchecked ``Admg._edit``."""
+
+    def test_every_three_node_graph_and_target_set(self):
+        for graph in all_mixed_graphs(3):
+            fill_caches(graph)
+            for r in range(4):
+                for targets in combinations(graph.nodes, r):
+                    for derived in derived_graphs(graph, frozenset(targets)):
+                        assert_matches_checked_build(derived, graph)
+
+    @given(hidden_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_random_graphs_with_parallel_pairs(self, case):
+        graph, targets = case
+        fill_caches(graph)
+        for derived in derived_graphs(graph, targets):
+            assert_matches_checked_build(derived, graph)
+
+    def test_no_transform_or_procedure_runs_the_checked_constructor(self, monkeypatch):
+        graph = parse_graph(
+            "X1 -> M\nM -> Y\nX2 -> Y\nW -> X1\nW -> Y\nM -> D\nX1 <-> Y\nX2 <-> W\nM <-> Y"
+        )
+        xs, ys = {"X1", "X2"}, {"Y"}
+        queries = [AdjustmentQuery(xs, ys, z) for z in (set(), {"W"}, {"D"}, {"W", "D"})]
+        calls = []
+        checked = Admg.__post_init__
+        monkeypatch.setattr(Admg, "__post_init__", lambda self: calls.append(1) or checked(self))
+        steps = [lambda: derived_graphs(graph, frozenset(xs))]
+        for q in queries:
+            steps += [
+                lambda q=q: adjustment_criterion(graph, q),
+                lambda q=q: adjustment_criterion(graph, q, mode="reference"),
+                lambda q=q: backdoor_criterion(graph, q),
+                lambda q=q: graphical_ignorability(graph, q),
+                lambda q=q: magnification_check(graph, q),
+            ]
+        steps += [
+            lambda: canonical_adjustment_set(graph, xs, ys),
+            lambda: exists_adjustment_set(graph, xs, ys),
+            lambda: enumerate_adjustment_sets(graph, xs, ys),
+            lambda: find_inducing_path(graph, {"X1"}, {"Y"}),
+        ]
+        for step in steps:
+            step()
+            assert calls == []
+        Admg(("A",), frozenset(), frozenset())
+        assert calls == [1]  # the counter sees the checked constructor
 
 
 class TestExpandBidirected:
