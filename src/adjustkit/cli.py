@@ -18,6 +18,11 @@ from pathlib import Path as FsPath
 
 from .criteria import (
     AdjustmentQuery,
+    CriterionVerdict,
+    ForbiddenDescendant,
+    OpenBackdoorPath,
+    OpenNonCausalPath,
+    TreatmentDescendant,
     adjustment_criterion,
     backdoor_criterion,
     canonical_adjustment_set,
@@ -84,13 +89,6 @@ def _emit(args, doc: dict, human: str) -> None:
 
 
 def _describe_failure(verdict) -> str:
-    from .criteria import (
-        ForbiddenDescendant,
-        OpenBackdoorPath,
-        OpenNonCausalPath,
-        TreatmentDescendant,
-    )
-
     f = verdict.failure
     if isinstance(f, ForbiddenDescendant):
         return (
@@ -116,8 +114,6 @@ def _criterion_command(args, criterion: str) -> int:
         verdict = adjustment_criterion(graph, query, mode=args.mode)
         label = "adjustment criterion"
     else:
-        from .criteria import CriterionVerdict
-
         verdict = CriterionVerdict(magnification_check(graph, query))
         label = "magnified-graph criterion"
     doc = verdict_to_json(criterion, verdict)

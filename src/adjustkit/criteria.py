@@ -354,8 +354,9 @@ def magnification_check(graph: Admg, query: AdjustmentQuery) -> bool:
     x, y, z = query.treatments, query.outcomes, query.covariates
     outgoing_from_y = {(a, b) for (a, b) in graph.directed if a in y}
     magnified = magnify(graph, outgoing_from_y)
-    z_nd = z - descendants(graph, x)
-    z_d = z & descendants(graph, x)
+    x_desc = descendants(graph, x)
+    z_nd = z - x_desc
+    z_d = z & x_desc
     helpers = helper_conditioning_set(magnified, x, y, z)
     # helpers and z_nd avoid the treatments' descendants by construction, so
     # the back-door test of them is its separation half alone

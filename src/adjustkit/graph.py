@@ -129,8 +129,6 @@ class Admg:
         object.__setattr__(self, "_parents", {v: frozenset(s) for v, s in parents.items()})
         object.__setattr__(self, "_children", {v: frozenset(s) for v, s in children.items()})
         object.__setattr__(self, "_spouses", {v: frozenset(s) for v, s in spouses.items()})
-        object.__setattr__(self, "_anc_cache", {})
-        object.__setattr__(self, "_desc_cache", {})
         self._check_acyclic()
 
     def _check_acyclic(self):
@@ -178,7 +176,6 @@ class Admg:
             directed=self.directed - drop_directed | add_directed,
             bidirected=self.bidirected - drop_bidirected | add_bidirected,
             _parents=tables[0], _children=tables[1], _spouses=tables[2],
-            _anc_cache={}, _desc_cache={},
         )
         return out
 
@@ -346,7 +343,9 @@ def _pair_name(prefix: str, a: str, b: str, taken: set[str]) -> str:
     return _fresh(f"{prefix}_{a}_{b}".replace("@do", "_do"), taken)
 
 
-def _closure(graph: Admg, seeds: NodeSet, neighbors) -> NodeSet:
+def _closure(seeds, neighbors) -> NodeSet:
+    """``seeds`` and every node reachable from them through ``neighbors``,
+    found in one traversal from all seeds at once."""
     out = set(seeds)
     stack = list(seeds)
     while stack:
@@ -360,26 +359,12 @@ def _closure(graph: Admg, seeds: NodeSet, neighbors) -> NodeSet:
 
 def ancestors(graph: Admg, nodes) -> NodeSet:
     """Reflexive transitive closure over parent edges."""
-    nodes = graph.node_subset(nodes)
-    cache = graph._anc_cache
-    out = set()
-    for v in nodes:
-        if v not in cache:
-            cache[v] = _closure(graph, frozenset({v}), graph.parents)
-        out |= cache[v]
-    return frozenset(out)
+    return _closure(graph.node_subset(nodes), graph._parents.__getitem__)
 
 
 def descendants(graph: Admg, nodes) -> NodeSet:
     """Reflexive transitive closure over child edges."""
-    nodes = graph.node_subset(nodes)
-    cache = graph._desc_cache
-    out = set()
-    for v in nodes:
-        if v not in cache:
-            cache[v] = _closure(graph, frozenset({v}), graph.children)
-        out |= cache[v]
-    return frozenset(out)
+    return _closure(graph.node_subset(nodes), graph._children.__getitem__)
 
 
 def cut_incoming(graph: Admg, targets) -> Admg:
@@ -444,7 +429,7 @@ def latent_project(graph: Admg, hidden) -> Admg:
     """
     hidden = graph.node_subset(hidden)
     keep = tuple(v for v in graph.nodes if v not in hidden)
-    up = {b: _closure(graph, frozenset({b}), lambda v: graph.parents(v) & hidden) for b in keep}
+    up = {b: _closure((b,), lambda v: graph.parents(v) & hidden) for b in keep}
     holders: dict[str, list[str]] = {}  # node -> kept nodes whose closure holds it
     for b in keep:
         for v in up[b]:

@@ -20,7 +20,6 @@ from .graph import (
     Admg,
     GraphError,
     ancestors,
-    descendants,
     incident_marks,
 )
 
@@ -172,10 +171,12 @@ def path_from_string(text: str) -> Path:
 
 
 def _triples_blocked(graph: Admg, visits: tuple[str, ...], steps: tuple[Step, ...], given: frozenset[str]) -> bool:
+    # a collider has a descendant in ``given`` exactly when it is an ancestor of it
+    open_colliders = ancestors(graph, given)
     for i in range(1, len(visits) - 1):
         collider = steps[i - 1].target_mark == HEAD and steps[i].source_mark == HEAD
         if collider:
-            if not (descendants(graph, frozenset({visits[i]})) & given):
+            if visits[i] not in open_colliders:
                 return True
         elif visits[i] in given:
             return True

@@ -15,7 +15,7 @@ import pytest
 from adjustkit import Admg, AdjustmentQuery, CycleError, Dist, joint_observed, parse_graph, random_scm
 from adjustkit.separation import Path as GraphPath
 from adjustkit.separation import Route, Step, enumerate_paths, path_blocked
-from adjustkit.graph import incident_marks
+from adjustkit.graph import HEAD, descendants, incident_marks
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -116,6 +116,12 @@ def graph_family(count: int = 300, base_seed: int = 1000) -> tuple[Admg, ...]:
     )
 
 
+def chain_graph(n: int) -> Admg:
+    """The directed chain V0 -> V1 -> ... -> V<n-1>."""
+    names = tuple(f"V{i}" for i in range(n))
+    return Admg(names, frozenset(zip(names, names[1:])), frozenset())
+
+
 def all_queries(graph: Admg):
     """Every (X, Y, Z) split of the graph's nodes with X, Y nonempty.
 
@@ -150,6 +156,32 @@ def subsets_of(pool):
 def brute_d_separated(graph: Admg, a, b, z) -> bool:
     """Path-enumeration reference for the reachability-based decision."""
     return all(path_blocked(graph, p, z) for p in enumerate_paths(graph, a, b))
+
+
+def reference_path_blocked(graph: Admg, path: GraphPath, given) -> bool:
+    """The per-collider blocking rule: a non-collider blocks when it is in
+    ``given``, a collider when none of its own descendants is."""
+    given = frozenset(given)
+    visits = path.nodes
+    for i in range(1, len(visits) - 1):
+        if path.steps[i - 1].target_mark == HEAD and path.steps[i].source_mark == HEAD:
+            if not descendants(graph, {visits[i]}) & given:
+                return True
+        elif visits[i] in given:
+            return True
+    return False
+
+
+def networkx_closures(nxg, nodes) -> tuple[frozenset[str], frozenset[str]]:
+    """Ancestors and descendants of ``nodes``, the nodes included, by
+    networkx on the directed graph ``nxg``."""
+    import networkx as nx
+
+    nodes = frozenset(nodes)
+    return (
+        nodes.union(*(nx.ancestors(nxg, v) for v in nodes)),
+        nodes.union(*(nx.descendants(nxg, v) for v in nodes)),
+    )
 
 
 def brute_proper_causal_nodes(graph: Admg, treatments, outcomes) -> frozenset[str]:

@@ -1,6 +1,7 @@
 """Back-door and adjustment criteria, set construction, magnification."""
 
 import random
+import time
 
 import pytest
 
@@ -34,6 +35,7 @@ from adjustkit.graph import HEAD, Admg
 from conftest import (
     all_mixed_graphs,
     all_queries,
+    chain_graph,
     graph_family,
     graph_from_edges,
     random_admg,
@@ -124,6 +126,15 @@ class TestAdjustmentCriterion:
         query = q({"V0"}, {"V1499"})
         assert adjustment_criterion(chain, query, mode="reference").holds
         assert adjustment_criterion(chain, query).holds
+
+    def test_long_chain_with_every_other_node_adjusted(self):
+        # the forbidden set is one closure of the 2,998 amenable nodes
+        chain = chain_graph(3000)
+        query = q({"V0"}, {"V2999"}, chain.nodes[1:-1:2])
+        started = time.perf_counter()
+        verdict = adjustment_criterion(chain, query)
+        assert time.perf_counter() - started < 1.0
+        assert verdict.failure == ForbiddenDescendant(offender="V1", causal_node="V1")
 
     def test_unknown_mode_rejected(self, fig1a):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Graph type, parser, and structural transforms."""
 
 import time
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -39,7 +40,14 @@ from adjustkit.cli import run
 from adjustkit.graph import _SPACE_RE, HEAD, TAIL
 from adjustkit.separation import enumerate_paths, find_inducing_path
 from adjustkit.twin import noise_linked, twin_network
-from conftest import all_mixed_graphs, graph_from_edges, load_fixture
+from conftest import (
+    all_mixed_graphs,
+    chain_graph,
+    graph_from_edges,
+    load_fixture,
+    networkx_closures,
+    subsets_of,
+)
 
 
 class TestParse:
@@ -227,6 +235,25 @@ class TestAncestry:
     def test_unknown_node(self, fig1a):
         with pytest.raises(UnknownNodeError):
             ancestors(fig1a, {"nope"})
+
+    def test_every_three_node_subset_against_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for graph in all_mixed_graphs(3):
+            nxg = nx.DiGraph(list(graph.directed))
+            nxg.add_nodes_from(graph.nodes)
+            for nodes in subsets_of(graph.nodes):
+                assert (ancestors(graph, nodes), descendants(graph, nodes)) == networkx_closures(nxg, nodes)
+
+    def test_closure_of_every_chain_node_is_one_set(self):
+        # one traversal from all seeds, not one closure kept per seed
+        chain = chain_graph(3000)
+        tracemalloc.start()
+        try:
+            assert ancestors(chain, chain.nodes) == frozenset(chain.nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 class TestCuts:
@@ -446,27 +473,18 @@ def derived_graphs(graph, targets):
     return out
 
 
-def assert_matches_checked_build(derived, parent):
+def assert_matches_checked_build(derived):
     """``derived`` equals the checked constructor's graph on its own edges,
-    adjacency tables included, and holds no closure of ``parent``."""
+    adjacency tables and closures included."""
     checked = Admg(derived.nodes, derived.directed, derived.bidirected)
     assert derived.nodes == checked.nodes
     assert derived.directed == checked.directed
     assert derived.bidirected == checked.bidirected
     for table in ("_parents", "_children", "_spouses"):
         assert list(getattr(derived, table).items()) == list(getattr(checked, table).items())
-    if derived is not parent:
-        assert derived._anc_cache == {} and derived._anc_cache is not parent._anc_cache
-        assert derived._desc_cache == {} and derived._desc_cache is not parent._desc_cache
     for v in derived.nodes:
         assert ancestors(derived, {v}) == ancestors(checked, {v})
         assert descendants(derived, {v}) == descendants(checked, {v})
-
-
-def fill_caches(graph):
-    ancestors(graph, graph.nodes)
-    descendants(graph, graph.nodes)
-    return graph
 
 
 class TestDerivedGraphs:
@@ -474,19 +492,17 @@ class TestDerivedGraphs:
 
     def test_every_three_node_graph_and_target_set(self):
         for graph in all_mixed_graphs(3):
-            fill_caches(graph)
             for r in range(4):
                 for targets in combinations(graph.nodes, r):
                     for derived in derived_graphs(graph, frozenset(targets)):
-                        assert_matches_checked_build(derived, graph)
+                        assert_matches_checked_build(derived)
 
     @given(hidden_cases())
     @settings(max_examples=200, deadline=None)
     def test_random_graphs_with_parallel_pairs(self, case):
         graph, targets = case
-        fill_caches(graph)
         for derived in derived_graphs(graph, targets):
-            assert_matches_checked_build(derived, graph)
+            assert_matches_checked_build(derived)
 
     def test_no_transform_or_procedure_runs_the_checked_constructor(self, monkeypatch):
         graph = parse_graph(

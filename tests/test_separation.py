@@ -1,7 +1,8 @@
 """Path machinery, blocking, separation decisions, routes, inducing paths."""
 
 import random
-from itertools import combinations
+import time
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from adjustkit import (
     ancestors,
     d_connected_nodes,
     d_separated,
+    descendants,
     direct_route,
     enumerate_paths,
     expand_bidirected,
@@ -30,9 +32,12 @@ from conftest import (
     all_dags,
     all_mixed_graphs,
     brute_d_separated,
+    chain_graph,
     graph_from_edges,
+    networkx_closures,
     random_admg,
     random_route,
+    reference_path_blocked,
     subsets_of,
 )
 
@@ -123,6 +128,13 @@ class TestBlocking:
 
     def test_chain_middle_in_given(self, fig1c):
         assert path_blocked(fig1c, p("X -> Z -> Y"), {"Z"})
+
+    def test_matches_per_collider_rule_on_every_three_node_path(self):
+        for graph in all_mixed_graphs(3):
+            for a, b in permutations(graph.nodes, 2):
+                for path in enumerate_paths(graph, {a}, {b}):
+                    for z in subsets_of(graph.nodes):
+                        assert path_blocked(graph, path, z) == reference_path_blocked(graph, path, z), (path, z)
 
     def test_collider_via_bidirected_marks(self):
         g = graph_from_edges([("A", "C")], [("B", "C")])
@@ -254,6 +266,14 @@ class TestDSeparated:
     def test_d_connected_nodes_rejects_overlap(self, fig1a):
         with pytest.raises(GraphError):
             d_connected_nodes(fig1a, {"X"}, {"X"})
+
+    def test_long_chain_given_every_other_node(self):
+        # An(given) is one closure of the whole set, not one per member
+        chain = chain_graph(3000)
+        given = set(chain.nodes[1:-1:2])
+        started = time.perf_counter()
+        assert d_separated(chain, {"V0"}, {"V2999"}, given).separated
+        assert time.perf_counter() - started < 0.5
 
 
 def _agreement_queries(graph, rng=None, cap=None):
@@ -507,6 +527,11 @@ class TestLargeGraphs:
                 assert (witness.start, witness.end) == (x, y)
                 assert not path_blocked(g, witness, z)
         assert failing >= 10
+        directed_part = nx.DiGraph(list(g.directed))
+        directed_part.add_nodes_from(names)
+        for size in (1, 1, 2, 5, 20, 100, 500):
+            nodes = rng.sample(names, size)
+            assert (ancestors(g, nodes), descendants(g, nodes)) == networkx_closures(directed_part, nodes)
 
     def test_connected_nodes_against_networkx(self):
         nx = pytest.importorskip("networkx")
