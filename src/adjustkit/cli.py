@@ -88,20 +88,22 @@ def _emit(args, doc: dict, human: str) -> None:
         print(human)
 
 
+_FAILURE_SENTENCES = {
+    ForbiddenDescendant: (
+        "covariate {offender} is a post-intervention descendant of "
+        "{causal_node}, which lies on a proper causal path"
+    ),
+    TreatmentDescendant: "covariate {offender} is a descendant of the treatment set",
+    OpenNonCausalPath: "non-causal path {path} open given the covariates",
+    OpenBackdoorPath: "back-door path {path} open given the covariates",
+}
+
+
 def _describe_failure(verdict) -> str:
     f = verdict.failure
-    if isinstance(f, ForbiddenDescendant):
-        return (
-            f"covariate {f.offender} is a post-intervention descendant of "
-            f"{f.causal_node}, which lies on a proper causal path"
-        )
-    if isinstance(f, TreatmentDescendant):
-        return f"covariate {f.offender} is a descendant of the treatment set"
-    if isinstance(f, OpenNonCausalPath):
-        return f"non-causal path {f.path} open given the covariates"
-    if isinstance(f, OpenBackdoorPath):
-        return f"back-door path {f.path} open given the covariates"
-    return "criterion fails"
+    if f is None:
+        return "criterion fails"
+    return _FAILURE_SENTENCES[type(f)].format(**vars(f))
 
 
 def _criterion_command(args, criterion: str) -> int:

@@ -17,7 +17,7 @@ auxiliary nodes spliced into the graph.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import NamedTuple, Union
 
@@ -28,6 +28,7 @@ from .graph import (
     GraphError,
     NodeSet,
     _pair_name,
+    _splice_latents,
     ancestors,
     cut_incoming,
     cut_outgoing,
@@ -127,9 +128,7 @@ class CriterionVerdict:
 
     @property
     def witness_path(self) -> Path | None:
-        if isinstance(self.failure, (OpenNonCausalPath, OpenBackdoorPath)):
-            return self.failure.path
-        return None
+        return getattr(self.failure, "path", None)
 
 
 def _checked_query(graph: Admg, query: AdjustmentQuery) -> AdjustmentQuery:
@@ -307,13 +306,8 @@ def magnify(graph: Admg, mediated_edges=()) -> Admg:
         a, b = sorted(unknown)[0]
         raise GraphError(f"cannot mediate {a} -> {b}: not a directed edge of the graph")
     taken = set(graph.nodes)
-    directed = set()
-    extra: list[str] = []
-    for a, b in sorted(graph.bidirected):
-        w = _pair_name("__W", a, b, taken)
-        extra.append(w)
-        directed.add((w, a))
-        directed.add((w, b))
+    sources, directed = _splice_latents(graph, "__W", taken)
+    extra = list(sources.values())
     for a, b in sorted(mediated):
         c = _pair_name("__C", *sorted((a, b)), taken)
         extra.append(c)
@@ -375,25 +369,22 @@ _FAILURE_KINDS = {
     TreatmentDescendant: "treatment_descendant",
     OpenBackdoorPath: "open_backdoor_path",
 }
+_FAILURE_CLASSES = {kind: cls for cls, kind in _FAILURE_KINDS.items()}
 
 
 def verdict_to_json(criterion: str, verdict: CriterionVerdict) -> dict:
     """Render a verdict as the stable JSON document the CLI emits."""
-    failure = None
-    witness = None
     f = verdict.failure
-    if isinstance(f, ForbiddenDescendant):
-        failure = {"kind": _FAILURE_KINDS[type(f)], "offender": f.offender, "causal_node": f.causal_node}
-    elif isinstance(f, TreatmentDescendant):
-        failure = {"kind": _FAILURE_KINDS[type(f)], "offender": f.offender}
-    elif isinstance(f, (OpenNonCausalPath, OpenBackdoorPath)):
-        failure = {"kind": _FAILURE_KINDS[type(f)], "path": str(f.path)}
-        witness = str(f.path)
+    failure = None
+    if f is not None:
+        failure = {"kind": _FAILURE_KINDS[type(f)]}
+        failure.update((field.name, str(getattr(f, field.name))) for field in fields(f))
+    witness = verdict.witness_path
     return {
         "criterion": criterion,
         "holds": verdict.holds,
         "failure": failure,
-        "witness_path": witness,
+        "witness_path": None if witness is None else str(witness),
     }
 
 
@@ -404,15 +395,8 @@ def verdict_from_json(doc: dict | str) -> tuple[str, CriterionVerdict]:
     failure = None
     raw = doc.get("failure")
     if raw is not None:
-        kind = raw["kind"]
-        if kind == "forbidden_descendant":
-            failure = ForbiddenDescendant(raw["offender"], raw["causal_node"])
-        elif kind == "treatment_descendant":
-            failure = TreatmentDescendant(raw["offender"])
-        elif kind == "open_noncausal_path":
-            failure = OpenNonCausalPath(path_from_string(raw["path"]))
-        elif kind == "open_backdoor_path":
-            failure = OpenBackdoorPath(path_from_string(raw["path"]))
-        else:
-            raise ValueError(f"unknown failure kind: {kind!r}")
+        cls = _FAILURE_CLASSES.get(raw["kind"])
+        if cls is None:
+            raise ValueError(f"unknown failure kind: {raw['kind']!r}")
+        failure = cls(*(path_from_string(raw[f.name]) if f.name == "path" else raw[f.name] for f in fields(cls)))
     return doc["criterion"], CriterionVerdict(doc["holds"], failure)

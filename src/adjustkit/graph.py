@@ -14,8 +14,9 @@ A small text format is supported for files and pipelines::
     B <-> C
 
 Nodes may be declared up front with ``node`` lines or implicitly at first
-mention in an edge.  Node order is first-mention order and is preserved by
-serialization.
+mention in an edge; a line shaped like an edge is an edge, even when its
+first node is named ``node``.  Node order is first-mention order and is
+preserved by serialization.
 
 Graphs come from two constructors.  The public ``Admg(...)`` (and so
 ``parse_graph`` and ``Admg.build``) checks names, edge ends, pair order and
@@ -129,21 +130,9 @@ class Admg:
         object.__setattr__(self, "_parents", {v: frozenset(s) for v, s in parents.items()})
         object.__setattr__(self, "_children", {v: frozenset(s) for v, s in children.items()})
         object.__setattr__(self, "_spouses", {v: frozenset(s) for v, s in spouses.items()})
-        self._check_acyclic()
-
-    def _check_acyclic(self):
-        indeg = {v: len(self._parents[v]) for v in self.nodes}
-        ready = [v for v in self.nodes if indeg[v] == 0]
-        seen = 0
-        while ready:
-            v = ready.pop()
-            seen += 1
-            for c in self._children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        if seen != len(self.nodes):
-            cycle = sorted(v for v, d in indeg.items() if d > 0)
+        order = topological_order(self)
+        if len(order) != len(self.nodes):
+            cycle = sorted(known.difference(order))  # the nodes on or below a cycle
             raise CycleError(f"cycle detected in directed part (involving {', '.join(cycle)})")
 
     def _edit(self, drop_nodes=frozenset(), drop_directed=frozenset(), drop_bidirected=frozenset(),
@@ -283,7 +272,13 @@ def parse_graph(text: str) -> Admg:
         if not toks:
             continue
         first, first_col = toks[0]
-        if first == "node":
+        shape_ok = (
+            len(toks) == 3
+            and toks[1][0] in ("->", "<->")
+            and toks[0][0] not in ("->", "<->")
+            and toks[2][0] not in ("->", "<->")
+        )
+        if first == "node" and not shape_ok:  # an edge may start at a node named ``node``
             if len(toks) < 2:
                 raise GraphParseError("node line declares no nodes", lineno, first_col)
             for tok, col in toks[1:]:
@@ -291,12 +286,6 @@ def parse_graph(text: str) -> Admg:
                     raise GraphParseError("arrow in node declaration", lineno, col)
                 order.setdefault(tok, None)
             continue
-        shape_ok = (
-            len(toks) == 3
-            and toks[1][0] in ("->", "<->")
-            and toks[0][0] not in ("->", "<->")
-            and toks[2][0] not in ("->", "<->")
-        )
         if not shape_ok:
             col = first_col
             for i, (tok, c) in enumerate(toks):
@@ -341,6 +330,19 @@ def _pair_name(prefix: str, a: str, b: str, taken: set[str]) -> str:
     could not read back otherwise (``@do`` may only end a name).
     """
     return _fresh(f"{prefix}_{a}_{b}".replace("@do", "_do"), taken)
+
+
+def _splice_latents(graph: Admg, prefix: str, taken: set[str]):
+    """A fresh latent ``<prefix>_<A>_<B>`` for each bidirected pair, named in
+    pair order from ``taken``: the map from pair to latent, and the latents'
+    directed edges into both ends."""
+    latents: dict[tuple[str, str], str] = {}
+    edges = set()
+    for a, b in sorted(graph.bidirected):
+        u = latents[(a, b)] = _pair_name(prefix, a, b, taken)
+        edges.add((u, a))
+        edges.add((u, b))
+    return latents, edges
 
 
 def _closure(seeds, neighbors) -> NodeSet:
@@ -470,29 +472,25 @@ def expand_bidirected(graph: Admg, prefix: str = "__U") -> tuple[Admg, dict[tupl
     ``<prefix>_<A>_<B>`` with name-sorted endpoints (a ``@do`` end spelled
     ``_do``).
     """
-    taken = set(graph.nodes)
-    mapping: dict[tuple[str, str], str] = {}
-    directed = set()
-    for a, b in sorted(graph.bidirected):
-        u = _pair_name(prefix, a, b, taken)
-        mapping[(a, b)] = u
-        directed.add((u, a))
-        directed.add((u, b))
+    mapping, directed = _splice_latents(graph, prefix, set(graph.nodes))
     expanded = graph._edit(drop_bidirected=graph.bidirected, add_nodes=mapping.values(), add_directed=directed)
     return expanded, mapping
 
 
 def topological_order(graph: Admg) -> tuple[str, ...]:
-    """Topological order of the directed part, stable in node order."""
+    """Topological order of the directed part, stable in node order.
+
+    A node on or below a directed cycle never becomes ready, so it is left
+    out; ``Admg`` reads a short order as a cycle.
+    """
     index = {v: i for i, v in enumerate(graph.nodes)}
-    indeg = {v: len(graph.parents(v)) for v in graph.nodes}
-    ready = [index[v] for v in graph.nodes if indeg[v] == 0]
-    heapq.heapify(ready)
+    indeg = {v: len(graph._parents[v]) for v in graph.nodes}
+    ready = [index[v] for v in graph.nodes if indeg[v] == 0]  # ascending: already a heap
     out = []
     while ready:
         v = graph.nodes[heapq.heappop(ready)]
         out.append(v)
-        for c in sorted(graph.children(v)):
+        for c in graph._children[v]:
             indeg[c] -= 1
             if indeg[c] == 0:
                 heapq.heappush(ready, index[c])

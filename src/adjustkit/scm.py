@@ -18,7 +18,7 @@ on a broadcast grid over the latent and free values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
@@ -83,6 +83,8 @@ class Dist:
         self.probs = np.asarray(self.probs, dtype=float)
         if self.probs.shape != self.sizes:
             raise ValueError(f"table shape {self.probs.shape} does not match sizes {self.sizes}")
+        if not np.isfinite(self.probs).all():
+            raise ValueError("non-finite probability cell")
         if self.probs.min(initial=0.0) < -_ROW_SUM_TOL:
             raise ValueError("negative probability cell")
         total = float(self.probs.sum())
@@ -94,22 +96,18 @@ class Dist:
         missing = frozenset(keep) - frozenset(self.names)
         if missing:
             raise ValueError(f"variables not in distribution: {sorted(missing)}")
-        drop_axes = tuple(i for i, n in enumerate(self.names) if n not in keep)
-        arr = self.probs.sum(axis=drop_axes) if drop_axes else self.probs
-        sizes = tuple(s for n, s in zip(self.names, self.sizes) if n in keep)
-        return Dist(keep, sizes, arr)
+        arr = _marginal(self.names, self.probs, keep)
+        return Dist(keep, arr.shape, arr)
 
     def slice_at(self, assignment: Mapping[str, int]) -> "Dist":
         """Unnormalized slice: fix some variables, keep the rest's axes."""
         arr = self.probs
         names = list(self.names)
         sizes = list(self.sizes)
+        _check_values(names, sizes, assignment)
         for v in sorted(assignment, key=names.index, reverse=True):
             i = names.index(v)
-            val = assignment[v]
-            if not 0 <= val < sizes[i]:
-                raise ValueError(f"value {val} out of domain for {v}")
-            arr = np.take(arr, val, axis=i)
+            arr = np.take(arr, assignment[v], axis=i)
             del names[i], sizes[i]
         out = Dist.__new__(Dist)
         out.names = tuple(names)
@@ -175,6 +173,8 @@ class DiscreteScm:
             table = self.cpts[v]
             if table.shape != expected:
                 raise ValueError(f"cpt for {v} has shape {table.shape}, expected {expected}")
+            if not np.isfinite(table).all():
+                raise ValueError(f"cpt for {v} has a non-finite entry")
             if table.min(initial=0.0) < 0:
                 raise ValueError(f"cpt for {v} has a negative entry")
             sums = table.sum(axis=-1)
@@ -318,14 +318,6 @@ def interventional(scm: DiscreteScm, x: Mapping[str, int], outcomes) -> Dist:
     return Dist(ys, arr.shape, arr)
 
 
-def _embed(dist: Dist, names: tuple[str, ...], sizes: tuple[int, ...]) -> np.ndarray:
-    """Broadcast a marginal's table into the axis layout of ``names``."""
-    shape = [1] * len(names)
-    for n, s in zip(dist.names, dist.sizes):
-        shape[names.index(n)] = s
-    return dist.probs.reshape(shape)
-
-
 def _estimand(names, joint: np.ndarray, xs, ys, zs, at=None) -> np.ndarray:
     """The adjustment functional sum_z P(y | x, z) P(z) over axes xs + ys,
     for every treatment value x at once, or with ``at`` (one value per
@@ -356,19 +348,13 @@ def adjustment_estimand(dist: Dist, x: Mapping[str, int], outcomes, covariates) 
     P(x, z) = 0 raises :class:`PositivityError` naming the cell.
     """
     x = dict(x)
-    treatments = frozenset(x)
-    outcomes = frozenset(outcomes)
-    covariates = frozenset(covariates)
-    if not treatments or not outcomes:
-        raise ValueError("treatments and outcomes must be nonempty")
-    if treatments & outcomes or treatments & covariates or outcomes & covariates:
-        raise ValueError("treatments, outcomes, and covariates must be pairwise disjoint")
-    missing = (treatments | outcomes | covariates) - frozenset(dist.names)
+    query = AdjustmentQuery(frozenset(x), outcomes, covariates)
+    missing = (query.treatments | query.outcomes | query.covariates) - frozenset(dist.names)
     if missing:
         raise ValueError(f"variables not in distribution: {sorted(missing)}")
     _check_values(dist.names, dist.sizes, x)
-    xs, ys = sorted(x), sorted(outcomes)
-    arr = _estimand(dist.names, dist.probs, xs, ys, sorted(covariates), [x[v] for v in xs])[(0,) * len(xs)]
+    xs, ys = sorted(x), sorted(query.outcomes)
+    arr = _estimand(dist.names, dist.probs, xs, ys, sorted(query.covariates), [x[v] for v in xs])[(0,) * len(xs)]
     return Dist(ys, arr.shape, arr)
 
 
@@ -463,18 +449,17 @@ def independence_gap(dist: Dist, first, second, given) -> float:
     given = frozenset(given)
     if first & second or first & given or second & given:
         raise ValueError("sets must be pairwise disjoint")
-    pabz = dist.marginal(first | second | given)
-    paz = dist.marginal(first | given)
-    pbz = dist.marginal(second | given)
-    pz = dist.marginal(given)
-    names, sizes = pabz.names, pabz.sizes
-    a = _embed(paz, names, sizes)
-    b = _embed(pbz, names, sizes)
-    c = _embed(pz, names, sizes)
-    mask = np.broadcast_to(c > 0, pabz.probs.shape)
-    num = np.abs(pabz.probs * c - a * b)
-    denom = np.broadcast_to(c * c, pabz.probs.shape)
-    gaps = np.zeros(pabz.probs.shape)
+    joint = dist.marginal(first | second | given)
+    pabz = joint.probs
+    a_axes = tuple(i for i, n in enumerate(joint.names) if n in first)
+    b_axes = tuple(i for i, n in enumerate(joint.names) if n in second)
+    paz = pabz.sum(axis=b_axes, keepdims=True)
+    pbz = pabz.sum(axis=a_axes, keepdims=True)
+    pz = paz.sum(axis=a_axes, keepdims=True)
+    mask = np.broadcast_to(pz > 0, pabz.shape)
+    num = np.abs(pabz * pz - paz * pbz)
+    denom = np.broadcast_to(pz * pz, pabz.shape)
+    gaps = np.zeros(pabz.shape)
     gaps[mask] = num[mask] / denom[mask]
     return float(gaps.max(initial=0.0))
 
@@ -511,14 +496,7 @@ class SoundnessReport:
     failures: list[dict]
 
     def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "trials": self.trials,
-            "max_gap": self.max_gap,
-            "worst_seed": self.worst_seed,
-            "worst_x": self.worst_x,
-            "failures": self.failures,
-        }
+        return asdict(self)
 
 
 def _gaps(scm: DiscreteScm, query: AdjustmentQuery) -> np.ndarray:

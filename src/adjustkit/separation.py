@@ -83,6 +83,14 @@ class _Walk:
     """Checking and printing shared by paths and routes: a start node plus
     chained steps, printed as 'X -> A <-> B <- Y'."""
 
+    @property
+    def nodes(self) -> tuple[str, ...]:
+        return (self.start,) + tuple(s.target for s in self.steps)
+
+    @property
+    def end(self) -> str:
+        return self.steps[-1].target if self.steps else self.start
+
     def validate_in(self, graph: Admg):
         for v in (self.start, *(s.target for s in self.steps)):
             graph._require(v)
@@ -114,14 +122,6 @@ class Path(_Walk):
                 raise GraphError(f"node {s.target} repeated on path")
             seen.add(s.target)
 
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        return (self.start,) + tuple(s.target for s in self.steps)
-
-    @property
-    def end(self) -> str:
-        return self.steps[-1].target if self.steps else self.start
-
 
 @dataclass(frozen=True)
 class Route(_Walk):
@@ -143,13 +143,7 @@ class Route(_Walk):
             counts[v] = labels[-1] + 1
         object.__setattr__(self, "occurrence_labels", tuple(labels))
 
-    @property
-    def node_sequence(self) -> tuple[str, ...]:
-        return (self.start,) + tuple(s.target for s in self.steps)
-
-    @property
-    def end(self) -> str:
-        return self.steps[-1].target
+    node_sequence = _Walk.nodes
 
 
 def path_from_string(text: str) -> Path:
@@ -170,7 +164,15 @@ def path_from_string(text: str) -> Path:
     return Path(start, tuple(steps))
 
 
-def _triples_blocked(graph: Admg, visits: tuple[str, ...], steps: tuple[Step, ...], given: frozenset[str]) -> bool:
+def path_blocked(graph: Admg, path: Path | Route, given) -> bool:
+    """Whether conditioning on ``given`` blocks the path.
+
+    A non-collider on the path blocks when it is in ``given``; a collider
+    blocks when neither it nor any of its descendants is.
+    """
+    path.validate_in(graph)
+    given = graph.node_subset(given)
+    visits, steps = path.nodes, path.steps
     # a collider has a descendant in ``given`` exactly when it is an ancestor of it
     open_colliders = ancestors(graph, given)
     for i in range(1, len(visits) - 1):
@@ -183,22 +185,9 @@ def _triples_blocked(graph: Admg, visits: tuple[str, ...], steps: tuple[Step, ..
     return False
 
 
-def path_blocked(graph: Admg, path: Path, given) -> bool:
-    """Whether conditioning on ``given`` blocks the path.
-
-    A non-collider on the path blocks when it is in ``given``; a collider
-    blocks when neither it nor any of its descendants is.
-    """
-    path.validate_in(graph)
-    given = graph.node_subset(given)
-    return _triples_blocked(graph, path.nodes, path.steps, given)
-
-
 def route_blocked(graph: Admg, route: Route, given) -> bool:
     """Route-level blocking: the same triple rule applied per visit."""
-    route.validate_in(graph)
-    given = graph.node_subset(given)
-    return _triples_blocked(graph, route.node_sequence, route.steps, given)
+    return path_blocked(graph, route, given)
 
 
 def enumerate_paths(graph: Admg, sources, sinks, max_len: int | None = None) -> list[Path]:
@@ -206,8 +195,10 @@ def enumerate_paths(graph: Admg, sources, sinks, max_len: int | None = None) -> 
     start and sinks only at the end, in deterministic (lexicographic) order.
 
     ``max_len`` caps the number of steps; by default it is the node count,
-    which no simple path can exceed.
+    which no simple path can exceed.  A negative cap raises ``ValueError``.
     """
+    if max_len is not None and max_len < 0:
+        raise ValueError("max_len must be non-negative")
     sources = graph.node_subset(sources)
     sinks = graph.node_subset(sinks)
     if sources & sinks:

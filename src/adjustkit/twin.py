@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Admg, _fresh, _pair_name, descendants
+from .graph import Admg, _fresh, _splice_latents, descendants
 from .separation import d_separated
 
 __all__ = ["TwinGraph", "graphical_ignorability", "noise_linked", "twin_network"]
@@ -54,17 +54,14 @@ def twin_network(graph: Admg, treatments) -> TwinGraph:
             copy_of[v] = _fresh(stem, taken, COUNTERFACTUAL_SUFFIX)
         else:
             copy_of[v] = v
-    directed = {(copy_of[a], copy_of[b]) for b in affected - treatments for a in graph.parents(b)}
-    latents: list[str] = []
-    for a, b in sorted(graph.bidirected):
-        u = _pair_name("__U", a, b, taken)
-        latents.append(u)
-        for end in (a, b):
-            directed.add((u, end))
-            if end in affected and end not in treatments:
-                directed.add((u, copy_of[end]))
+    redrawn = affected - treatments  # copies that keep their parents
+    directed = {(copy_of[a], copy_of[b]) for b in redrawn for a in graph.parents(b)}
+    latents, edges = _splice_latents(graph, "__U", taken)
+    directed |= edges
+    directed |= {(u, copy_of[end]) for u, end in edges if end in redrawn}
     copies = tuple(copy_of[v] for v in graph.nodes if v in affected)
-    twin = graph._edit(drop_bidirected=graph.bidirected, add_nodes=copies + tuple(latents), add_directed=directed)
+    twin = graph._edit(drop_bidirected=graph.bidirected, add_nodes=copies + tuple(latents.values()),
+                       add_directed=directed)
     return TwinGraph(twin, {v: v for v in graph.nodes}, copy_of)
 
 

@@ -268,6 +268,28 @@ def reference_estimand(joint: Dist, x, outcomes, covariates) -> np.ndarray:
     return out
 
 
+def reference_independence_gap(dist: Dist, first, second, given) -> float:
+    """max |P(a, b, z) P(z) - P(a, z) P(b, z)| / P(z)^2 over cells with
+    P(z) > 0, from four separate marginals of ``dist`` broadcast into the
+    axis layout of the joint one."""
+    first, second, given = frozenset(first), frozenset(second), frozenset(given)
+    pabz = dist.marginal(first | second | given)
+
+    def embed(names):
+        m = dist.marginal(names)
+        shape = [1] * len(pabz.names)
+        for n, size in zip(m.names, m.sizes):
+            shape[pabz.names.index(n)] = size
+        return m.probs.reshape(shape)
+
+    paz, pbz, pz = embed(first | given), embed(second | given), embed(given)
+    gaps = np.zeros(pabz.probs.shape)
+    mask = np.broadcast_to(pz > 0, gaps.shape)
+    num = np.abs(pabz.probs * pz - paz * pbz)
+    gaps[mask] = num[mask] / np.broadcast_to(pz * pz, gaps.shape)[mask]
+    return float(gaps.max(initial=0.0))
+
+
 def reference_gaps(graph: Admg, query: AdjustmentQuery, trials: int, seed: int):
     """Per trial, per x in product order: (scm, x, max-abs gap, total variation)."""
     names = sorted(query.treatments)

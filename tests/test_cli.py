@@ -167,6 +167,65 @@ class TestJsonVerdicts:
         json.loads(out)  # exactly one parseable document
 
 
+class TestFailureReports:
+    """The exact document and sentence for each failure kind."""
+
+    @pytest.mark.parametrize(
+        "verb, text, z, failure, sentence",
+        [
+            (
+                "check-adjust",
+                "X -> M\nM -> Y\nM -> W",
+                "W",
+                {"kind": "forbidden_descendant", "offender": "W", "causal_node": "M"},
+                "adjustment criterion fails: covariate W is a post-intervention descendant of M, "
+                "which lies on a proper causal path",
+            ),
+            (
+                "check-adjust",
+                "X -> Z\nZ -> Y\nX <-> Y",
+                "",
+                {"kind": "open_noncausal_path", "path": "X <-> Y"},
+                "adjustment criterion fails: non-causal path X <-> Y open given the covariates",
+            ),
+            (
+                "check-backdoor",
+                "X -> Y\nX -> Z",
+                "Z",
+                {"kind": "treatment_descendant", "offender": "Z"},
+                "back-door criterion fails: covariate Z is a descendant of the treatment set",
+            ),
+            (
+                "check-backdoor",
+                "Z -> X\nZ -> Y\nX -> Y",
+                "",
+                {"kind": "open_backdoor_path", "path": "X <- Z -> Y"},
+                "back-door criterion fails: back-door path X <- Z -> Y open given the covariates",
+            ),
+        ],
+    )
+    def test_each_failure_kind(self, capsys, tmp_path, verb, text, z, failure, sentence):
+        graph = tmp_path / "g.g"
+        graph.write_text(text + "\n")
+        argv = (verb, "--graph", str(graph), "-X", "X", "-Y", "Y", "-Z", z)
+        assert invoke(capsys, *argv) == (1, sentence + "\n", "")
+        code, doc, _ = invoke_json(capsys, *argv)
+        criterion = "adjustment" if verb == "check-adjust" else "backdoor"
+        assert code == 1
+        assert doc == {
+            "criterion": criterion,
+            "holds": False,
+            "failure": failure,
+            "witness_path": failure.get("path"),
+        }
+
+    def test_magnified_graph_failure_has_no_detail(self, capsys):
+        argv = ("check-t7", "--graph", FIG1C, "-X", "X", "-Y", "Y")
+        assert invoke(capsys, *argv) == (1, "magnified-graph criterion fails: criterion fails\n", "")
+        code, doc, _ = invoke_json(capsys, *argv)
+        assert (code, doc["failure"], doc["witness_path"]) == (1, None, None)
+
+
 class TestSetCommands:
     def test_find_sets_fork(self, capsys):
         code, doc, _ = invoke_json(
@@ -345,6 +404,7 @@ class TestOracleVerbs:
             ("verify", FIG1A, "--tol", "-1e-9"),
             ("refute", FIG1C, "--trials", "-3"),
             ("refute", FIG1C, "--delta", "-0.01"),
+            ("paths", FIG1A, "--max-len", "-1"),
         ],
     )
     def test_rejects_empty_or_negative_settings(self, capsys, verb, graph, option, value):

@@ -90,6 +90,12 @@ class TestParse:
         with pytest.raises(CycleError):
             parse_graph("A -> B\nB -> C\nC -> A")
 
+    def test_cycle_error_names_the_nodes_on_or_below_a_cycle(self):
+        # B and C form the cycle, D hangs below it; A feeds it and E is apart
+        with pytest.raises(CycleError) as err:
+            parse_graph("node E\nD <-> E\nA -> B\nB -> C\nC -> B\nC -> D")
+        assert str(err.value) == "cycle detected in directed part (involving B, C, D)"
+
     def test_self_loop_rejected(self):
         with pytest.raises(GraphParseError):
             parse_graph("A -> A")
@@ -126,7 +132,11 @@ class TestParse:
         assert g.nodes == ("X@do", "Y@do")
 
     def test_round_trip_through_text(self, fig1c):
-        assert parse_graph(fig1c.to_text()) == fig1c
+        # a node named ``node`` may start an edge line
+        named_node = Admg.build([("node", "A")], [("B", "node")])
+        assert "node -> A" in named_node.to_text()
+        for g in (fig1c, named_node):
+            assert parse_graph(g.to_text()) == g
 
     def test_round_trip_preserves_node_order(self):
         g = parse_graph("node Q A\nA -> Q")

@@ -33,6 +33,7 @@ from conftest import (
     graph_from_edges,
     reference_counterfactual_joint,
     reference_gaps,
+    reference_independence_gap,
     reference_refute,
     reference_verify,
 )
@@ -75,6 +76,12 @@ class TestDist:
     def test_rejects_negative_cells(self):
         with pytest.raises(ValueError):
             Dist(("A",), (2,), np.array([1.2, -0.2]))
+
+    def test_rejects_non_finite_cells(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Dist(("A",), (2,), [np.nan, np.nan])
+        with pytest.raises(ValueError, match="non-finite"):
+            Dist(("A",), (2,), [np.inf, 0.0])
 
     def test_marginal(self):
         d = Dist(("A", "B"), (2, 2), np.array([[0.1, 0.2], [0.3, 0.4]]))
@@ -552,6 +559,15 @@ class TestSerialization:
         doc = scm_to_json(random_scm(fig1a, seed=0))
         assert scm_from_json(json.loads(json.dumps(doc))).seed == 0
 
+    def test_rejects_nan_tables(self, fig1a):
+        import json
+
+        doc = scm_to_json(random_scm(fig1a, seed=0))
+        doc["cpt"]["X"] = [float("nan")] * len(doc["cpt"]["X"])
+        # Python's json writes and reads NaN, so such a document can arrive
+        with pytest.raises(ValueError, match="non-finite"):
+            scm_from_json(json.loads(json.dumps(doc)))
+
 
 class TestIndependenceGap:
     def test_rejects_overlap(self, fig1a):
@@ -563,3 +579,17 @@ class TestIndependenceGap:
         g = graph_from_edges([], nodes=["A", "B"])
         joint = joint_observed(random_scm(g, seed=1))
         assert independence_gap(joint, {"A"}, {"B"}, set()) <= 1e-12
+
+    def test_matches_the_four_marginal_formula(self):
+        rng = np.random.default_rng(17)
+        names = ("A", "B", "C", "D")
+        for _ in range(60):
+            sizes = tuple(int(k) for k in rng.integers(1, 4, size=len(names)))
+            probs = rng.random(sizes) * (rng.random(sizes) < 0.8)  # some zero cells
+            probs.flat[0] += 0.1
+            dist = Dist(names, sizes, probs / probs.sum())
+            roles = rng.integers(0, 4, size=len(names))  # first, second, given or left out
+            first, second, given = ({n for n, r in zip(names, roles) if r == k} for k in range(3))
+            assert independence_gap(dist, first, second, given) == pytest.approx(
+                reference_independence_gap(dist, first, second, given), abs=1e-12
+            )

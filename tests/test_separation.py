@@ -188,6 +188,11 @@ class TestEnumeratePaths:
         paths = enumerate_paths(fig1a, {"X"}, {"Y"}, max_len=1)
         assert [str(q) for q in paths] == ["X -> Y"]
 
+    def test_negative_max_len_rejected(self, fig1a):
+        assert enumerate_paths(fig1a, {"X"}, {"Y"}, max_len=0) == []
+        with pytest.raises(ValueError, match="max_len"):
+            enumerate_paths(fig1a, {"X"}, {"Y"}, max_len=-1)
+
     def test_overlapping_sets_rejected(self, fig1a):
         with pytest.raises(GraphError):
             enumerate_paths(fig1a, {"X"}, {"X", "Y"})
