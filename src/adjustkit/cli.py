@@ -106,7 +106,8 @@ def _describe_failure(verdict) -> str:
     return _FAILURE_SENTENCES[type(f)].format(**vars(f))
 
 
-def _criterion_command(args, criterion: str) -> int:
+def _criterion_command(args) -> int:
+    criterion = args.criterion
     graph = _load_graph(args.graph)
     query = AdjustmentQuery(_nodes(args.X), _nodes(args.Y), _nodes(args.Z))
     if criterion == "backdoor":
@@ -125,18 +126,6 @@ def _criterion_command(args, criterion: str) -> int:
         human = f"{label} fails: {_describe_failure(verdict)}"
     _emit(args, doc, human)
     return 0 if verdict.holds else 1
-
-
-def _cmd_check_backdoor(args) -> int:
-    return _criterion_command(args, "backdoor")
-
-
-def _cmd_check_adjust(args) -> int:
-    return _criterion_command(args, "adjustment")
-
-
-def _cmd_check_t7(args) -> int:
-    return _criterion_command(args, "theorem7")
 
 
 def _cmd_find_sets(args) -> int:
@@ -254,18 +243,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-backdoor", help="test the back-door criterion")
     _add_graph_arg(p)
     _add_query_args(p)
-    p.set_defaults(func=_cmd_check_backdoor)
+    p.set_defaults(func=_criterion_command, criterion="backdoor")
 
     p = sub.add_parser("check-adjust", help="test the adjustment criterion")
     _add_graph_arg(p)
     _add_query_args(p)
     p.add_argument("--mode", choices=("fast", "reference"), default="fast")
-    p.set_defaults(func=_cmd_check_adjust)
+    p.set_defaults(func=_criterion_command, criterion="adjustment")
 
     p = sub.add_parser("check-t7", help="test adjustment validity on the magnified graph")
     _add_graph_arg(p)
     _add_query_args(p)
-    p.set_defaults(func=_cmd_check_t7)
+    p.set_defaults(func=_criterion_command, criterion="theorem7")
 
     p = sub.add_parser("find-sets", help="enumerate valid adjustment sets")
     _add_graph_arg(p)

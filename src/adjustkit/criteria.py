@@ -27,12 +27,14 @@ from .graph import (
     Admg,
     GraphError,
     NodeSet,
+    _closure,
+    _cut_ancestors,
     _pair_name,
     _splice_latents,
     ancestors,
-    cut_incoming,
     cut_outgoing,
     descendants,
+    proper_causal_nodes,
     remove_nodes,
 )
 from .separation import (
@@ -161,9 +163,8 @@ class _Split(NamedTuple):
 
     treatments: NodeSet
     outcomes: NodeSet
-    mutilated: Admg  # edges into the treatments cut
     amenable: NodeSet  # proper causal nodes outside the treatments
-    forbidden: NodeSet  # descendants of ``amenable`` in ``mutilated``
+    forbidden: NodeSet  # descendants of ``amenable`` once edges into the treatments are cut
     backdoor: Admg  # the proper back-door graph
 
     def admits(self, covariates: NodeSet) -> bool:
@@ -172,22 +173,15 @@ class _Split(NamedTuple):
             return False
         return d_separated(self.backdoor, self.treatments, self.outcomes, covariates).separated
 
-    def canonical(self, graph: Admg) -> NodeSet:
-        """The canonical adjustment set of ``graph`` for this pair."""
-        return ancestors(graph, self.treatments | self.outcomes) - self.treatments - self.outcomes - self.amenable
-
 
 def _split(graph: Admg, treatments, outcomes) -> _Split:
     treatments = graph.node_subset(treatments)
     outcomes = graph.node_subset(outcomes)
-    if treatments & outcomes:
-        raise GraphError("treatment and outcome sets overlap")
-    mutilated = cut_incoming(graph, treatments)
-    amenable = (descendants(mutilated, treatments) & ancestors(mutilated, outcomes)) - treatments
-    forbidden = descendants(mutilated, amenable)
+    amenable = proper_causal_nodes(graph, treatments, outcomes) - treatments
+    forbidden = _closure(amenable, lambda v: graph._children[v] - treatments)
     drop = {(a, b) for a in treatments for b in graph.children(a) & amenable}
     backdoor = graph._edit(drop_directed=drop) if drop else graph
-    return _Split(treatments, outcomes, mutilated, amenable, forbidden, backdoor)
+    return _Split(treatments, outcomes, amenable, forbidden, backdoor)
 
 
 def proper_backdoor_graph(graph: Admg, treatments, outcomes) -> Admg:
@@ -211,7 +205,7 @@ def adjustment_criterion(graph: Admg, query: AdjustmentQuery, mode: str = "fast"
     offenders = sorted(z & split.forbidden)
     if offenders:
         offender = offenders[0]
-        causal_node = min(split.amenable & ancestors(split.mutilated, {offender}))
+        causal_node = min(split.amenable & _cut_ancestors(graph, {offender}, x))
         return CriterionVerdict(False, ForbiddenDescendant(offender, causal_node))
 
     if mode == "reference":
@@ -244,14 +238,17 @@ def canonical_adjustment_set(graph: Admg, treatments, outcomes) -> frozenset[str
     """Ancestors of treatments or outcomes, minus both sets and minus every
     node on a proper causal path.  Valid whenever any valid set exists.
     """
-    return _split(graph, treatments, outcomes).canonical(graph)
+    treatments = graph.node_subset(treatments)
+    outcomes = graph.node_subset(outcomes)
+    causal = proper_causal_nodes(graph, treatments, outcomes)
+    return ancestors(graph, treatments | outcomes) - treatments - outcomes - causal
 
 
 def exists_adjustment_set(graph: Admg, treatments, outcomes) -> bool:
     """Whether any covariate set makes adjustment valid for this pair."""
     split = _split(graph, treatments, outcomes)
     AdjustmentQuery(split.treatments, split.outcomes)  # rejects empty sets
-    return split.admits(split.canonical(graph))
+    return split.admits(canonical_adjustment_set(graph, split.treatments, split.outcomes))
 
 
 def enumerate_adjustment_sets(
@@ -278,7 +275,7 @@ def enumerate_adjustment_sets(
     split = _split(graph, query.treatments, query.outcomes)
     # the canonical set is valid whenever any set is, so when it fails no
     # subset of any candidate pool can pass
-    if not split.admits(split.canonical(graph)):
+    if not split.admits(canonical_adjustment_set(graph, split.treatments, split.outcomes)):
         return []
     pool = sorted(candidates)
     out: list[frozenset[str]] = []
@@ -327,10 +324,9 @@ def helper_conditioning_set(graph: Admg, treatments, outcomes, covariates) -> fr
     outcomes = graph.node_subset(outcomes)
     covariates = graph.node_subset(covariates)
     anc = ancestors(graph, covariates)
-    nondesc = frozenset(graph.nodes) - descendants(graph, treatments)
     pruned = remove_nodes(graph, treatments)
     linked = d_connected_nodes(pruned, outcomes, covariates)
-    return (anc & nondesc & linked) - covariates - outcomes
+    return (anc & linked) - descendants(graph, treatments) - covariates - outcomes
 
 
 def magnification_check(graph: Admg, query: AdjustmentQuery) -> bool:
@@ -346,7 +342,7 @@ def magnification_check(graph: Admg, query: AdjustmentQuery) -> bool:
     """
     _checked_query(graph, query)
     x, y, z = query.treatments, query.outcomes, query.covariates
-    outgoing_from_y = {(a, b) for (a, b) in graph.directed if a in y}
+    outgoing_from_y = {(a, b) for a in y for b in graph.children(a)}
     magnified = magnify(graph, outgoing_from_y)
     x_desc = descendants(graph, x)
     z_nd = z - x_desc

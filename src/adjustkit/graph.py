@@ -79,7 +79,8 @@ class UnknownNodeError(GraphError):
     """Raised when an operation names a node the graph does not contain."""
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:@do)?")
+# one token (an arrow or a name) or the first character that starts none
+_TOKEN_RE = re.compile(r"\s*(?:(<->|->|[A-Za-z_][A-Za-z0-9_]*(?:@do)?)|(\S))")
 _SPACE_RE = re.compile(r"\s")
 
 
@@ -230,27 +231,10 @@ class Admg:
 def _tokens(line: str, lineno: int):
     """Split one line of graph text into (token, column) pairs."""
     out = []
-    pos = 0
-    n = len(line)
-    while pos < n:
-        ch = line[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if line.startswith("<->", pos):
-            out.append(("<->", pos + 1))
-            pos += 3
-            continue
-        if line.startswith("->", pos):
-            out.append(("->", pos + 1))
-            pos += 2
-            continue
-        m = _NAME_RE.match(line, pos)
-        if m:
-            out.append((m.group(0), pos + 1))
-            pos = m.end()
-            continue
-        raise GraphParseError(f"unexpected character {ch!r}", lineno, pos + 1)
+    for m in _TOKEN_RE.finditer(line):
+        if m.group(2) is not None:
+            raise GraphParseError(f"unexpected character {m.group(2)!r}", lineno, m.start(2) + 1)
+        out.append((m.group(1), m.start(1) + 1))
     return out
 
 
@@ -369,6 +353,13 @@ def descendants(graph: Admg, nodes) -> NodeSet:
     return _closure(graph.node_subset(nodes), graph._children.__getitem__)
 
 
+def _cut_ancestors(graph: Admg, nodes, stop) -> NodeSet:
+    """Ancestors of ``nodes`` once the edges into ``stop`` are cut: the climb
+    reaches members of ``stop`` but never goes past them."""
+    parents = graph._parents
+    return _closure(nodes, lambda v: () if v in stop else parents[v])
+
+
 def cut_incoming(graph: Admg, targets) -> Admg:
     """Drop every edge with an arrowhead at a member of ``targets``.
 
@@ -452,16 +443,17 @@ def proper_causal_nodes(graph: Admg, treatments, outcomes) -> NodeSet:
     """Nodes lying on a directed path from ``treatments`` to ``outcomes``
     that meets the treatment set only at its start.
 
-    Endpoints are included.  Computed on the graph with edges into the
-    treatment set removed, where reachability from the treatments can never
-    re-enter them.
+    Endpoints are included.  These are the descendants of the treatments
+    that are ancestors of the outcomes once the edges into the treatments are
+    cut, and neither closure needs the cut graph built: cutting those edges
+    removes no descendant, since every treatment is a seed, and it only stops
+    the climb from the outcomes at a treatment, which has no parents left.
     """
     treatments = graph.node_subset(treatments)
     outcomes = graph.node_subset(outcomes)
     if treatments & outcomes:
         raise GraphError("treatment and outcome sets overlap")
-    stripped = cut_incoming(graph, treatments)
-    return descendants(stripped, treatments) & ancestors(stripped, outcomes)
+    return descendants(graph, treatments) & _cut_ancestors(graph, outcomes, treatments)
 
 
 def expand_bidirected(graph: Admg, prefix: str = "__U") -> tuple[Admg, dict[tuple[str, str], str]]:

@@ -118,6 +118,7 @@ class Dist:
     def cell(self, assignment: Mapping[str, int]) -> float:
         if frozenset(assignment) != frozenset(self.names):
             raise ValueError("assignment must cover exactly the distribution's variables")
+        _check_values(self.names, self.sizes, assignment)
         idx = tuple(assignment[n] for n in self.names)
         return float(self.probs[idx])
 

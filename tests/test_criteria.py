@@ -141,13 +141,24 @@ class TestAdjustmentCriterion:
             adjustment_criterion(fig1a, q(["X"], ["Y"]), mode="quick")
 
     def test_condition_one_witness_invariant(self, fig1c):
-        verdict = adjustment_criterion(fig1c, q(["X"], ["Y"], ["Z"]))
-        failure = verdict.failure
-        mutilated = cut_incoming(fig1c, {"X"})
-        pcn = proper_causal_nodes(fig1c, {"X"}, {"Y"})
-        assert failure.offender in {"Z"}
-        assert failure.causal_node in pcn - {"X"}
-        assert failure.offender in descendants(mutilated, {failure.causal_node})
+        # in the second graph ``a`` is an ancestor of ``z`` only through the
+        # treatment x2, so the causal node must be found with edges into X cut
+        two_treatments = graph_from_edges(
+            [("x1", "a"), ("a", "x2"), ("x2", "b"), ("b", "Y"), ("a", "Y"), ("b", "z")]
+        )
+        cases = [
+            (fig1c, q(["X"], ["Y"], ["Z"]), ForbiddenDescendant("Z", "Z")),
+            (two_treatments, q(["x1", "x2"], ["Y"], ["z"]), ForbiddenDescendant("z", "b")),
+        ]
+        for graph, query, expected in cases:
+            x, y, z = query.treatments, query.outcomes, query.covariates
+            failure = adjustment_criterion(graph, query).failure
+            mutilated = cut_incoming(graph, x)
+            pcn = proper_causal_nodes(graph, x, y)
+            assert failure.offender in z
+            assert failure.causal_node in pcn - x
+            assert failure.offender in descendants(mutilated, {failure.causal_node})
+            assert failure == expected
 
     def test_condition_two_witness_is_open_noncausal(self):
         g = graph_from_edges([("X", "Y"), ("W", "X"), ("W", "Y")])

@@ -1,5 +1,6 @@
 """Graph type, parser, and structural transforms."""
 
+import re
 import time
 import tracemalloc
 from itertools import combinations, permutations
@@ -110,10 +111,17 @@ class TestParse:
             parse_graph("A <-> B\nB <-> A")
 
     def test_bad_token_reports_position(self):
-        with pytest.raises(GraphParseError) as err:
-            parse_graph("A -> B\nA => B")
-        assert err.value.line == 2
-        assert err.value.column == 3
+        cases = [
+            ("A -> B\nA => B", 2, 3, "unexpected character '='"),
+            ("A -> B@", 1, 7, "unexpected character '@'"),
+            ("A -> B -> C", 1, 8, "expected 'A -> B'"),
+            ("node A\n\t A <- B", 2, 5, "unexpected character '<'"),
+            ("A -> B # ok\nA\u00a0-> C$", 2, 7, "unexpected character '$'"),
+        ]
+        for text, line, column, message in cases:
+            with pytest.raises(GraphParseError, match=re.escape(message)) as err:
+                parse_graph(text)
+            assert (err.value.line, err.value.column) == (line, column)
 
     def test_malformed_edge_line(self):
         with pytest.raises(GraphParseError):

@@ -104,6 +104,10 @@ class TestDist:
         assert d.cell({"A": 1, "B": 0}) == pytest.approx(0.3)
         with pytest.raises(ValueError):
             d.cell({"A": 1})
+        # a negative value must not wrap around to the last cell
+        for value in (-1, 2):
+            with pytest.raises(ValueError, match="out of domain for A"):
+                d.cell({"A": value, "B": 0})
 
     def test_comparisons_need_matching_variables(self):
         d = Dist(("A",), (2,), np.array([0.5, 0.5]))
