@@ -29,6 +29,7 @@ from .graph import (
     NodeSet,
     _closure,
     _cut_ancestors,
+    _node_set,
     _pair_name,
     _splice_latents,
     ancestors,
@@ -78,9 +79,9 @@ class AdjustmentQuery:
     covariates: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "treatments", frozenset(self.treatments))
-        object.__setattr__(self, "outcomes", frozenset(self.outcomes))
-        object.__setattr__(self, "covariates", frozenset(self.covariates))
+        object.__setattr__(self, "treatments", _node_set(self.treatments))
+        object.__setattr__(self, "outcomes", _node_set(self.outcomes))
+        object.__setattr__(self, "covariates", _node_set(self.covariates))
         if not self.treatments or not self.outcomes:
             raise ValueError("treatment and outcome sets must be nonempty")
         if (
@@ -234,21 +235,26 @@ def strip_to_backdoor(graph: Admg, query: AdjustmentQuery) -> frozenset[str]:
     return query.covariates - descendants(graph, query.treatments)
 
 
+def _canonical(graph: Admg, treatments: NodeSet, outcomes: NodeSet, causal: NodeSet) -> frozenset[str]:
+    # ``causal`` may be the proper causal nodes or ``_Split.amenable``: they
+    # differ only inside the treatments, which are subtracted anyway
+    return ancestors(graph, treatments | outcomes) - treatments - outcomes - causal
+
+
 def canonical_adjustment_set(graph: Admg, treatments, outcomes) -> frozenset[str]:
     """Ancestors of treatments or outcomes, minus both sets and minus every
     node on a proper causal path.  Valid whenever any valid set exists.
     """
     treatments = graph.node_subset(treatments)
     outcomes = graph.node_subset(outcomes)
-    causal = proper_causal_nodes(graph, treatments, outcomes)
-    return ancestors(graph, treatments | outcomes) - treatments - outcomes - causal
+    return _canonical(graph, treatments, outcomes, proper_causal_nodes(graph, treatments, outcomes))
 
 
 def exists_adjustment_set(graph: Admg, treatments, outcomes) -> bool:
     """Whether any covariate set makes adjustment valid for this pair."""
     split = _split(graph, treatments, outcomes)
     AdjustmentQuery(split.treatments, split.outcomes)  # rejects empty sets
-    return split.admits(canonical_adjustment_set(graph, split.treatments, split.outcomes))
+    return split.admits(_canonical(graph, split.treatments, split.outcomes, split.amenable))
 
 
 def enumerate_adjustment_sets(
@@ -275,7 +281,7 @@ def enumerate_adjustment_sets(
     split = _split(graph, query.treatments, query.outcomes)
     # the canonical set is valid whenever any set is, so when it fails no
     # subset of any candidate pool can pass
-    if not split.admits(canonical_adjustment_set(graph, split.treatments, split.outcomes)):
+    if not split.admits(_canonical(graph, split.treatments, split.outcomes, split.amenable)):
         return []
     pool = sorted(candidates)
     out: list[frozenset[str]] = []

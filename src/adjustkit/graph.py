@@ -58,6 +58,14 @@ __all__ = [
 ]
 
 
+def _node_set(names) -> NodeSet:
+    """``names`` as a frozenset.  A bare ``str`` is refused: iterating it would
+    read one multi-character node name as one node per character."""
+    if isinstance(names, str):
+        raise TypeError(f"expected a collection of node names, not the string {names!r}")
+    return frozenset(names)
+
+
 class GraphError(ValueError):
     """Base class for graph construction and query errors."""
 
@@ -205,7 +213,7 @@ class Admg:
             raise UnknownNodeError(f"unknown node: {v}")
 
     def node_subset(self, names) -> NodeSet:
-        out = frozenset(names)
+        out = _node_set(names)
         for v in out:
             self._require(v)
         return out

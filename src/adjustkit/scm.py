@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .criteria import AdjustmentQuery, adjustment_criterion
-from .graph import Admg, expand_bidirected, latent_project
+from .graph import Admg, _node_set, expand_bidirected, latent_project
 
 __all__ = [
     "Counterexample",
@@ -92,7 +92,7 @@ class Dist:
             raise ValueError(f"distribution sums to {total}, not 1")
 
     def marginal(self, names) -> "Dist":
-        keep = tuple(sorted(frozenset(names)))
+        keep = tuple(sorted(_node_set(names)))
         missing = frozenset(keep) - frozenset(self.names)
         if missing:
             raise ValueError(f"variables not in distribution: {sorted(missing)}")
@@ -286,6 +286,9 @@ def _marginal(names, probs: np.ndarray, keep) -> np.ndarray:
 
 
 def _check_values(names, sizes, x: Mapping[str, int]):
+    unknown = [v for v in x if v not in names]
+    if unknown:
+        raise ValueError(f"variables not in distribution: {sorted(unknown)}")
     for v, val in x.items():
         if not 0 <= val < sizes[names.index(v)]:
             raise ValueError(f"value {val} out of domain for {v}")
@@ -303,7 +306,7 @@ def interventional(scm: DiscreteScm, x: Mapping[str, int], outcomes) -> Dist:
     With ``x`` empty this reproduces observational marginals exactly, cell
     for cell, because the same summation runs in both cases.
     """
-    outcomes = frozenset(outcomes)
+    outcomes = _node_set(outcomes)
     if not outcomes:
         raise ValueError("outcomes must be nonempty")
     overlap = outcomes & frozenset(x)

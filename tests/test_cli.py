@@ -17,12 +17,37 @@ from adjustkit import (
     parse_graph,
     verdict_from_json,
 )
-from adjustkit.cli import run
+from adjustkit.cli import build_parser, run
 from conftest import FIXTURE_DIR
 
 FIG1A = str(FIXTURE_DIR / "fig1a.g")
 FIG1B = str(FIXTURE_DIR / "fig1b.g")
 FIG1C = str(FIXTURE_DIR / "fig1c.g")
+
+QUERY = {"Z": "", "X": "X", "Y": "Y"}
+# each verb's required flags (after --graph) and the namespace its minimal
+# argv parses to, beside command, graph=FIG1A and json=False
+VERBS = {
+    "check-backdoor": (("-X", "-Y"), {**QUERY, "criterion": "backdoor"}),
+    "check-adjust": (("-X", "-Y"), {**QUERY, "criterion": "adjustment", "mode": "fast"}),
+    "check-t7": (("-X", "-Y"), {**QUERY, "criterion": "theorem7"}),
+    "find-sets": (("-X", "-Y"), {"X": "X", "Y": "Y", "candidates": None, "limit": 16}),
+    "canonical-set": (("-X", "-Y"), {"X": "X", "Y": "Y"}),
+    "exists-set": (("-X", "-Y"), {"X": "X", "Y": "Y"}),
+    "twin": (("-X",), {"X": "X"}),
+    "project": (("-M",), {"M": "M"}),
+    "magnify": ((), {"E": ""}),
+    "paths": (("-X", "-Y"), {**QUERY, "max_len": None}),
+    "verify": (("-X", "-Y"), {**QUERY, "trials": 100, "tol": 1e-9, "seed": 0}),
+    "refute": (("-X", "-Y"), {**QUERY, "trials": 200, "delta": 0.01, "seed": 0}),
+}
+
+
+def minimal_argv(verb):
+    argv = [verb, "--graph", FIG1A]
+    for flag in VERBS[verb][0]:
+        argv += [flag, flag[1:]]
+    return argv
 
 
 def invoke(capsys, *argv):
@@ -110,8 +135,24 @@ class TestCheckVerbs:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert invoke(capsys, "frobnicate")[0] == 2
 
-    def test_missing_required_flag_exits_2(self, capsys):
-        assert invoke(capsys, "check-adjust", "--graph", FIG1A, "-X", "X")[0] == 2
+    @pytest.mark.parametrize(
+        "verb, flag",
+        [(verb, flag) for verb, (flags, _) in VERBS.items() for flag in ("--graph", *flags)],
+    )
+    def test_missing_required_flag_exits_2(self, capsys, verb, flag):
+        argv = minimal_argv(verb)
+        i = argv.index(flag)
+        del argv[i : i + 2]
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"the following arguments are required: {flag}" in err
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_documented_defaults(self, verb):
+        args = vars(build_parser().parse_args(minimal_argv(verb)))
+        assert args.pop("func").__module__ == "adjustkit.cli"
+        assert args == {"command": verb, "graph": FIG1A, "json": False, **VERBS[verb][1]}
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         import adjustkit.cli as cli

@@ -5,6 +5,7 @@ import time
 import tracemalloc
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from adjustkit import (
     AdjustmentQuery,
     Admg,
     CycleError,
+    Dist,
     GraphError,
     GraphParseError,
     UnknownNodeError,
@@ -22,11 +24,13 @@ from adjustkit import (
     canonical_adjustment_set,
     cut_incoming,
     cut_outgoing,
+    d_separated,
     descendants,
     enumerate_adjustment_sets,
     exists_adjustment_set,
     expand_bidirected,
     graphical_ignorability,
+    interventional,
     latent_project,
     magnification_check,
     magnify,
@@ -220,6 +224,27 @@ class TestAdmgValue:
     def test_node_subset_validates(self, fig1a):
         with pytest.raises(UnknownNodeError):
             fig1a.node_subset({"Z", "Q"})
+
+    def test_bare_string_is_not_a_node_set(self):
+        # "AB" is one legal node name; iterating the string would read A and B
+        g = parse_graph("AB -> C\nA -> B\nB -> C\n")
+        dist = Dist(("A", "AB", "B"), (2, 2, 2), np.full((2, 2, 2), 0.125))
+        scm = random_scm(g, seed=0)
+        calls = [
+            lambda: g.node_subset("AB"),
+            lambda: descendants(g, "AB"),
+            lambda: d_separated(g, "AB", "C", ()),
+            lambda: AdjustmentQuery("AB", {"C"}),
+            lambda: AdjustmentQuery({"AB"}, "C"),
+            lambda: AdjustmentQuery({"AB"}, {"C"}, "B"),
+            lambda: dist.marginal("AB"),
+            lambda: interventional(scm, {}, "AB"),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="not the string"):
+                call()
+        assert descendants(g, {"AB"}) == {"AB", "C"}
+        assert dist.marginal({"AB"}).names == ("AB",)
 
 
 class TestAncestry:

@@ -98,6 +98,8 @@ class TestDist:
         assert np.allclose(s.probs, [0.3, 0.4])
         with pytest.raises(ValueError):
             d.slice_at({"A": 5})
+        with pytest.raises(ValueError, match=r"^variables not in distribution: \['Q'\]$"):
+            d.slice_at({"Q": 0})
 
     def test_cell(self):
         d = Dist(("A", "B"), (2, 2), np.array([[0.1, 0.2], [0.3, 0.4]]))
