@@ -247,7 +247,9 @@ def canonical_adjustment_set(graph: Admg, treatments, outcomes) -> frozenset[str
     """
     treatments = graph.node_subset(treatments)
     outcomes = graph.node_subset(outcomes)
-    return _canonical(graph, treatments, outcomes, proper_causal_nodes(graph, treatments, outcomes))
+    causal = proper_causal_nodes(graph, treatments, outcomes)
+    AdjustmentQuery(treatments, outcomes)  # rejects empty sets, as exists_adjustment_set does
+    return _canonical(graph, treatments, outcomes, causal)
 
 
 def exists_adjustment_set(graph: Admg, treatments, outcomes) -> bool:

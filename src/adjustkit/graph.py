@@ -19,10 +19,10 @@ first node is named ``node``.  Node order is first-mention order and is
 preserved by serialization.
 
 Graphs come from two constructors.  The public ``Admg(...)`` (and so
-``parse_graph`` and ``Admg.build``) checks names, edge ends, pair order and
-acyclicity.  ``Admg._edit`` trusts its caller: it patches an already-checked
-graph's adjacency and is used only by transforms whose results are valid by
-construction, because they drop edges or add fresh nodes.
+``Admg.build``) checks names, edge ends, pair order and acyclicity.
+``Admg._edit`` checks nothing and fills every graph's adjacency: results of
+transforms and ``latent_project`` are valid by construction, and the
+grammar of ``parse_graph`` leaves only acyclicity to check.
 """
 
 from __future__ import annotations
@@ -87,9 +87,10 @@ class UnknownNodeError(GraphError):
     """Raised when an operation names a node the graph does not contain."""
 
 
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*(?:@do)?"  # the node names both Admg and the text format accept
+_NAME_RE = re.compile(_NAME)
 # one token (an arrow or a name) or the first character that starts none
-_TOKEN_RE = re.compile(r"\s*(?:(<->|->|[A-Za-z_][A-Za-z0-9_]*(?:@do)?)|(\S))")
-_SPACE_RE = re.compile(r"\s")
+_TOKEN_RE = re.compile(rf"\s*(?:(<->|->|{_NAME})|(\S))")
 
 
 @dataclass(frozen=True, repr=False)
@@ -111,45 +112,30 @@ class Admg:
         object.__setattr__(self, "bidirected", frozenset(self.bidirected))
         known = set()
         for name in self.nodes:
-            if not name or not isinstance(name, str) or _SPACE_RE.search(name):
+            if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
                 raise GraphError(f"bad node name: {name!r}")
             if name in known:
                 raise GraphError(f"node {name} listed twice")
             known.add(name)
-        parents: dict[str, set[str]] = {v: set() for v in self.nodes}
-        children: dict[str, set[str]] = {v: set() for v in self.nodes}
-        spouses: dict[str, set[str]] = {v: set() for v in self.nodes}
-        for a, b in self.directed:
-            if a not in known or b not in known:
-                raise UnknownNodeError(f"edge {a} -> {b} uses an undeclared node")
-            if a == b:
-                raise GraphError(f"self-loop on {a}")
-            children[a].add(b)
-            parents[b].add(a)
-        for pair in self.bidirected:
-            a, b = pair
-            if (a, b) != tuple(sorted(pair)):
-                raise GraphError(f"bidirected pair {pair} is not name-sorted")
-            if a not in known or b not in known:
-                raise UnknownNodeError(f"edge {a} <-> {b} uses an undeclared node")
-            if a == b:
-                raise GraphError(f"self-loop on {a}")
-            spouses[a].add(b)
-            spouses[b].add(a)
-        object.__setattr__(self, "_parents", {v: frozenset(s) for v, s in parents.items()})
-        object.__setattr__(self, "_children", {v: frozenset(s) for v, s in children.items()})
-        object.__setattr__(self, "_spouses", {v: frozenset(s) for v, s in spouses.items()})
-        order = topological_order(self)
-        if len(order) != len(self.nodes):
-            cycle = sorted(known.difference(order))  # the nodes on or below a cycle
-            raise CycleError(f"cycle detected in directed part (involving {', '.join(cycle)})")
+        for arrow, edges in (("->", self.directed), ("<->", self.bidirected)):
+            for pair in edges:
+                a, b = pair
+                if arrow == "<->" and (a, b) != tuple(sorted(pair)):
+                    raise GraphError(f"bidirected pair {pair} is not name-sorted")
+                if a not in known or b not in known:
+                    raise UnknownNodeError(f"edge {a} {arrow} {b} uses an undeclared node")
+                if a == b:
+                    raise GraphError(f"self-loop on {a}")
+        built = _EMPTY._edit(add_nodes=self.nodes, add_directed=self.directed, add_bidirected=self.bidirected)
+        self.__dict__.update(_parents=built._parents, _children=built._children, _spouses=built._spouses)
+        _acyclic(self)
 
     def _edit(self, drop_nodes=frozenset(), drop_directed=frozenset(), drop_bidirected=frozenset(),
               add_nodes=(), add_directed=frozenset(), add_bidirected=frozenset()) -> "Admg":
-        """A graph derived from this one without any check: the caller drops
-        every edge at a dropped node, adds only fresh nodes (they go last) and
-        name-sorted pairs, and closes no directed cycle.  Only the adjacency
-        entries whose edges change are rebuilt."""
+        """A graph derived from this one without any check: the caller adds
+        fresh legal nodes (they go last), known ends and sorted pairs, drops
+        every edge at a dropped node and closes no directed cycle (a build on
+        the empty graph checks that itself).  Only changed entries are rebuilt."""
         tables = (dict(self._parents), dict(self._children), dict(self._spouses))
         for table in tables:
             for v in drop_nodes:
@@ -157,16 +143,19 @@ class Admg:
             table.update(dict.fromkeys(add_nodes, frozenset()))
         for op, directed, bidirected in ((frozenset.difference, drop_directed, drop_bidirected),
                                          (frozenset.union, add_directed, add_bidirected)):
-            delta: dict[tuple[int, str], set[str]] = {}  # (table, node) -> changed neighbours
+            if not directed and not bidirected:
+                continue
+            delta: tuple[dict[str, list[str]], ...] = ({}, {}, {})  # per table: node -> changed neighbours
             for a, b in directed:
-                delta.setdefault((0, b), set()).add(a)
-                delta.setdefault((1, a), set()).add(b)
+                delta[0].setdefault(b, []).append(a)
+                delta[1].setdefault(a, []).append(b)
             for a, b in bidirected:
-                delta.setdefault((2, a), set()).add(b)
-                delta.setdefault((2, b), set()).add(a)
-            for (k, v), changed in delta.items():
-                if v in tables[k]:  # a dropped node's entry is gone
-                    tables[k][v] = op(tables[k][v], changed)
+                delta[2].setdefault(a, []).append(b)
+                delta[2].setdefault(b, []).append(a)
+            for table, changed in zip(tables, delta):
+                for v, neighbours in changed.items():
+                    if v in table:  # a dropped node's entry is gone
+                        table[v] = op(table[v], neighbours)
         nodes = tuple(v for v in self.nodes if v not in drop_nodes) if drop_nodes else self.nodes
         out = object.__new__(Admg)
         out.__dict__.update(  # frozen dataclass: set the fields directly
@@ -254,8 +243,6 @@ def parse_graph(text: str) -> Admg:
     part is cyclic.
     """
     order: dict[str, None] = {}
-    directed: list[tuple[str, str]] = []
-    bidirected: list[tuple[str, str]] = []
     seen_directed: set[tuple[str, str]] = set()
     seen_bidirected: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -295,14 +282,12 @@ def parse_graph(text: str) -> Admg:
             if (tail, head) in seen_directed:
                 raise GraphParseError(f"duplicate edge {tail} -> {head}", lineno, first_col)
             seen_directed.add((tail, head))
-            directed.append((tail, head))
         else:
             pair = tuple(sorted((tail, head)))
             if pair in seen_bidirected:
                 raise GraphParseError(f"duplicate edge {tail} <-> {head}", lineno, first_col)
             seen_bidirected.add(pair)
-            bidirected.append(pair)
-    return Admg(tuple(order), frozenset(directed), frozenset(bidirected))
+    return _acyclic(_EMPTY._edit(add_nodes=tuple(order), add_directed=seen_directed, add_bidirected=seen_bidirected))
 
 
 def _fresh(stem: str, taken: set[str], suffix: str = "") -> str:
@@ -444,7 +429,7 @@ def latent_project(graph: Admg, hidden) -> Admg:
         for b in holders.get(u, ())
         if b != a
     }
-    return Admg(keep, frozenset(directed), frozenset(bidirected))
+    return _EMPTY._edit(add_nodes=keep, add_directed=directed, add_bidirected=bidirected)
 
 
 def proper_causal_nodes(graph: Admg, treatments, outcomes) -> NodeSet:
@@ -464,15 +449,15 @@ def proper_causal_nodes(graph: Admg, treatments, outcomes) -> NodeSet:
     return descendants(graph, treatments) & _cut_ancestors(graph, outcomes, treatments)
 
 
-def expand_bidirected(graph: Admg, prefix: str = "__U") -> tuple[Admg, dict[tuple[str, str], str]]:
+def expand_bidirected(graph: Admg) -> tuple[Admg, dict[tuple[str, str], str]]:
     """Replace each bidirected edge with an explicit exogenous parent.
 
     Returns the expanded DAG plus a map from each original bidirected pair
     to the fresh latent node that replaced it.  Latents are named
-    ``<prefix>_<A>_<B>`` with name-sorted endpoints (a ``@do`` end spelled
+    ``__U_<A>_<B>`` with name-sorted endpoints (a ``@do`` end spelled
     ``_do``).
     """
-    mapping, directed = _splice_latents(graph, prefix, set(graph.nodes))
+    mapping, directed = _splice_latents(graph, "__U", set(graph.nodes))
     expanded = graph._edit(drop_bidirected=graph.bidirected, add_nodes=mapping.values(), add_directed=directed)
     return expanded, mapping
 
@@ -481,7 +466,7 @@ def topological_order(graph: Admg) -> tuple[str, ...]:
     """Topological order of the directed part, stable in node order.
 
     A node on or below a directed cycle never becomes ready, so it is left
-    out; ``Admg`` reads a short order as a cycle.
+    out; ``_acyclic`` reads a short order as a cycle.
     """
     index = {v: i for i, v in enumerate(graph.nodes)}
     indeg = {v: len(graph._parents[v]) for v in graph.nodes}
@@ -495,3 +480,16 @@ def topological_order(graph: Admg) -> tuple[str, ...]:
             if indeg[c] == 0:
                 heapq.heappush(ready, index[c])
     return tuple(out)
+
+
+def _acyclic(graph: Admg) -> Admg:
+    """``graph``, after raising :class:`CycleError` if its directed part has a cycle."""
+    order = topological_order(graph)
+    if len(order) != len(graph.nodes):
+        cycle = sorted(set(graph.nodes).difference(order))  # the nodes on or below a cycle
+        raise CycleError(f"cycle detected in directed part (involving {', '.join(cycle)})")
+    return graph
+
+
+_EMPTY = object.__new__(Admg)  # made by hand, since Admg() builds its own tables from it
+_EMPTY.__dict__.update(nodes=(), directed=frozenset(), bidirected=frozenset(), _parents={}, _children={}, _spouses={})

@@ -35,7 +35,6 @@ __all__ = [
     "find_inducing_path",
     "path_blocked",
     "path_from_string",
-    "route_blocked",
 ]
 
 _ARROWS = {(TAIL, HEAD): "->", (HEAD, TAIL): "<-", (HEAD, HEAD): "<->"}
@@ -138,12 +137,10 @@ class Route(_Walk):
         _check_chain(self.start, self.steps)
         counts: dict[str, int] = {}
         labels = []
-        for v in self.node_sequence:
+        for v in self.nodes:
             labels.append(counts.get(v, 0))
             counts[v] = labels[-1] + 1
         object.__setattr__(self, "occurrence_labels", tuple(labels))
-
-    node_sequence = _Walk.nodes
 
 
 def path_from_string(text: str) -> Path:
@@ -183,11 +180,6 @@ def path_blocked(graph: Admg, path: Path | Route, given) -> bool:
         elif visits[i] in given:
             return True
     return False
-
-
-def route_blocked(graph: Admg, route: Route, given) -> bool:
-    """Route-level blocking: the same triple rule applied per visit."""
-    return path_blocked(graph, route, given)
 
 
 def enumerate_paths(graph: Admg, sources, sinks, max_len: int | None = None) -> list[Path]:
@@ -395,7 +387,7 @@ def direct_route(graph: Admg, route: Route) -> Path:
     survives the collapse.
     """
     route.validate_in(graph)
-    seq = route.node_sequence
+    seq = route.nodes
     last = {v: i for i, v in enumerate(seq)}
     pos = last[seq[0]]
     steps: list[Step] = []

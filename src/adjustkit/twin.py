@@ -21,15 +21,14 @@ COUNTERFACTUAL_SUFFIX = "@do"
 
 @dataclass
 class TwinGraph:
-    """A two-world DAG plus name maps back to the original graph.
+    """A two-world DAG plus a name map from the original graph.
 
-    ``factual_of`` maps each original node to its factual copy (same name);
-    ``counterfactual_of`` maps it to the post-intervention copy, which for
-    nodes the intervention cannot reach is the single shared copy.
+    Each original node's factual copy keeps its name; ``counterfactual_of``
+    maps it to the post-intervention copy, which for nodes the intervention
+    cannot reach is the single shared copy.
     """
 
     graph: Admg
-    factual_of: dict[str, str] = field(repr=False)
     counterfactual_of: dict[str, str] = field(repr=False)
 
 
@@ -62,7 +61,7 @@ def twin_network(graph: Admg, treatments) -> TwinGraph:
     copies = tuple(copy_of[v] for v in graph.nodes if v in affected)
     twin = graph._edit(drop_bidirected=graph.bidirected, add_nodes=copies + tuple(latents.values()),
                        add_directed=directed)
-    return TwinGraph(twin, {v: v for v in graph.nodes}, copy_of)
+    return TwinGraph(twin, copy_of)
 
 
 def noise_linked(twin: TwinGraph) -> Admg:

@@ -36,7 +36,6 @@ from adjustkit import (
     path_blocked,
     proper_causal_nodes,
     random_scm,
-    route_blocked,
     search_counterexample,
     strip_to_backdoor,
     verify_soundness,
@@ -216,10 +215,10 @@ def _check_walks_reduce_to_open_paths(graphs, walks_per_graph=1000):
             path.validate_in(graph)
             assert path.start == route.start and path.end == route.end
             assert len(set(path.nodes)) == len(path.nodes)
-            assert set(path.nodes) <= set(route.node_sequence)
+            assert set(path.nodes) <= set(route.nodes)
             for _ in range(3):
                 given = frozenset(v for v in graph.nodes if rng.random() < 0.4)
-                if route.start != route.end and not route_blocked(graph, route, given):
+                if route.start != route.end and not path_blocked(graph, route, given):
                     assert not path_blocked(graph, path, given), (route, path, given)
             checked += 1
     return checked

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -41,6 +43,17 @@ VERBS = {
     "verify": (("-X", "-Y"), {**QUERY, "trials": 100, "tol": 1e-9, "seed": 0}),
     "refute": (("-X", "-Y"), {**QUERY, "trials": 200, "delta": 0.01, "seed": 0}),
 }
+
+
+def readme_console_commands():
+    """Each ``$ adjustkit ...`` line of README's console blocks with the output printed under it."""
+    readme = (FIXTURE_DIR.parent / "README.md").read_text()
+    out = []
+    for block in re.findall(r"^```console\n(.*?)^```", readme, re.S | re.M):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, printed = chunk.partition("\n")
+            out.append((command, printed))
+    return out
 
 
 def minimal_argv(verb):
@@ -305,6 +318,15 @@ class TestSetCommands:
         )
         assert code == 1
         assert "no valid adjustment set exists" in out
+
+
+@pytest.mark.parametrize("command, printed", readme_console_commands())
+def test_readme_console_examples_print_what_they_show(capsys, monkeypatch, command, printed):
+    monkeypatch.chdir(FIXTURE_DIR.parent)
+    program, *argv = shlex.split(command)
+    assert program == "adjustkit"
+    run(argv)
+    assert capsys.readouterr().out == printed
 
 
 class TestTransforms:

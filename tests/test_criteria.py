@@ -31,8 +31,10 @@ from adjustkit import (
     verdict_from_json,
     verdict_to_json,
 )
+from adjustkit.cli import run
 from adjustkit.graph import HEAD, Admg
 from conftest import (
+    FIXTURE_DIR,
     all_mixed_graphs,
     all_queries,
     chain_graph,
@@ -251,6 +253,19 @@ class TestCanonicalSet:
     def test_excludes_causal_nodes_keeps_their_parents(self):
         g = graph_from_edges([("X", "M"), ("M", "Y"), ("W", "M"), ("W", "X")])
         assert canonical_adjustment_set(g, {"X"}, {"Y"}) == {"W"}
+
+    @pytest.mark.parametrize(
+        "x, y", [((), ("Y",)), (("X",), ()), ((), ()), (("X",), ("X", "Y")), ((), ("X", "Q"))]
+    )
+    def test_rejects_every_query_exists_rejects(self, fig1a, x, y):
+        # the canonical set exists for exactly the queries that exists_adjustment_set answers
+        with pytest.raises(ValueError) as expected:
+            exists_adjustment_set(fig1a, x, y)
+        with pytest.raises(ValueError) as got:
+            canonical_adjustment_set(fig1a, x, y)
+        assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+        argv = ["canonical-set", "--graph", str(FIXTURE_DIR / "fig1a.g"), "-X", ",".join(x), "-Y", ",".join(y)]
+        assert run(argv) == 2
 
 
 class TestExistsSet:

@@ -42,17 +42,33 @@ from adjustkit import (
     topological_order,
 )
 from adjustkit.cli import run
-from adjustkit.graph import _SPACE_RE, HEAD, TAIL
+from adjustkit.graph import HEAD, TAIL
 from adjustkit.separation import enumerate_paths, find_inducing_path
 from adjustkit.twin import noise_linked, twin_network
 from conftest import (
+    FIXTURE_DIR,
     all_mixed_graphs,
     chain_graph,
+    graph_family,
     graph_from_edges,
     load_fixture,
     networkx_closures,
     subsets_of,
 )
+
+
+def adjacency(g: Admg):
+    """Parent, child and spouse tables, with their key order."""
+    return [list(table.items()) for table in (g._parents, g._children, g._spouses)]
+
+
+def reference_adjacency(g: Admg):
+    """The same tables read off the edge sets."""
+    return [
+        [(v, frozenset(a for a, b in g.directed if b == v)) for v in g.nodes],
+        [(v, frozenset(b for a, b in g.directed if a == v)) for v in g.nodes],
+        [(v, frozenset(w for pair in g.bidirected if v in pair for w in pair if w != v)) for v in g.nodes],
+    ]
 
 
 class TestParse:
@@ -180,15 +196,36 @@ class TestAdmgValue:
         with pytest.raises(GraphError):
             Admg(("A B",), frozenset(), frozenset())
 
-    @pytest.mark.parametrize("name", ["", 7, None, ("A",), "A\tB", "A\u00a0B", "A\n"])
+    @pytest.mark.parametrize("name", ["", 7, None, ("A",), "A\tB", "A\u00a0B", "A\n", "A-B", "1x", "\u00e9", "A@B"])
     def test_constructor_rejects_empty_non_str_and_spaced_names(self, name):
         with pytest.raises(GraphError, match="bad node name"):
             Admg((name,), frozenset(), frozenset())
 
-    def test_space_pattern_agrees_with_isspace_on_every_code_point(self):
-        every = "".join(map(chr, range(0x110000)))
-        matched = {m.start() for m in _SPACE_RE.finditer(every)}
-        assert matched == {i for i, c in enumerate(every) if c.isspace()}
+    @given(st.lists(st.sampled_from(["A", "z", "_", "7", "@do", "@", "-", "\u00e9", " ", "#", "node", "->"]),
+                    max_size=4).map("".join))
+    @settings(deadline=None, max_examples=300)
+    def test_constructor_accepts_exactly_the_names_the_parser_reads(self, name):
+        try:
+            read = parse_graph(f"node {name}").nodes == (name,)
+        except GraphParseError:
+            read = False
+        try:
+            g = Admg((name, "Q"), {(name, "Q")}, {tuple(sorted((name, "Q")))})
+        except GraphError as e:
+            assert not read and str(e) == f"bad node name: {name!r}"
+        else:
+            assert read
+            again = parse_graph(g.to_text())
+            assert again == g and adjacency(again) == adjacency(g)
+
+    def test_parser_builds_what_the_checked_constructor_builds(self):
+        texts = [path.read_text() for path in sorted(FIXTURE_DIR.glob("*.g"))]
+        texts += [g.to_text() for g in graph_family()]
+        for text in texts:
+            parsed = parse_graph(text)
+            checked = Admg(parsed.nodes, parsed.directed, parsed.bidirected)
+            assert parsed == checked
+            assert adjacency(parsed) == adjacency(checked) == reference_adjacency(parsed)
 
     def test_constructor_rejects_direct_cycle(self):
         with pytest.raises(CycleError):
@@ -439,6 +476,15 @@ class TestLatentProjection:
     def test_expand_then_project_round_trips(self, fig1c):
         dag, mapping = expand_bidirected(fig1c)
         assert latent_project(dag, set(mapping.values())) == fig1c
+
+    def test_projection_is_what_the_checked_constructor_builds(self):
+        for g in all_mixed_graphs(3):
+            for size in range(4):
+                for hidden in combinations(g.nodes, size):
+                    projected = latent_project(g, hidden)
+                    checked = Admg(projected.nodes, projected.directed, projected.bidirected)
+                    assert projected == checked
+                    assert adjacency(projected) == adjacency(checked) == reference_adjacency(projected)
 
     def test_matches_collider_free_paths_on_all_three_node_graphs(self):
         for g in all_mixed_graphs(3):

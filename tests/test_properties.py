@@ -29,7 +29,6 @@ from adjustkit import (
     parse_graph,
     path_blocked,
     proper_causal_nodes,
-    route_blocked,
     verify_soundness,
 )
 from adjustkit.graph import incident_marks
@@ -178,7 +177,7 @@ def test_paths_block_the_same_as_single_visit_routes(case):
     graph, first, second, cond = case
     for path in enumerate_paths(graph, first, second)[:20]:
         route = Route(path.start, path.steps)
-        assert route_blocked(graph, route, cond) == path_blocked(graph, path, cond)
+        assert path_blocked(graph, route, cond) == path_blocked(graph, path, cond)
 
 
 @given(walks(), st.sets(st.sampled_from(NAMES)))
@@ -190,8 +189,8 @@ def test_direct_route_yields_an_open_path(case, raw_given):
     path.validate_in(graph)
     assert path.start == route.start and path.end == route.end
     assert len(set(path.nodes)) == len(path.nodes)
-    assert set(path.nodes) <= set(route.node_sequence)
-    if route.start != route.end and not route_blocked(graph, route, given):
+    assert set(path.nodes) <= set(route.nodes)
+    if route.start != route.end and not path_blocked(graph, route, given):
         assert not path_blocked(graph, path, given)
 
 

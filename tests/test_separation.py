@@ -24,7 +24,6 @@ from adjustkit import (
     parse_graph,
     path_blocked,
     path_from_string,
-    route_blocked,
 )
 from adjustkit.graph import HEAD, TAIL, Admg
 from adjustkit.separation import _path_key
@@ -99,7 +98,7 @@ class TestStepAndPath:
                 Step("A", "Y", TAIL, HEAD),
             ),
         )
-        assert route.node_sequence == ("X", "A", "B", "A", "Y")
+        assert route.nodes == ("X", "A", "B", "A", "Y")
         assert route.occurrence_labels == (0, 0, 0, 1, 0)
 
     def test_route_needs_a_step(self):
@@ -156,13 +155,13 @@ class TestBlocking:
         # First visit of A is a collider (X -> A <- B); given {A} it is open,
         # and the second visit (B -> A -> Y) is a non-collider in the given
         # set, so the route is blocked.
-        assert route_blocked(g, route, {"A"})
+        assert path_blocked(g, route, {"A"})
         # Given nothing, the collider visit blocks instead.
-        assert route_blocked(g, route, set())
+        assert path_blocked(g, route, set())
         # Given a descendant of A, the collider opens and the non-collider
         # visit stays unconditioned.
         g2 = graph_from_edges([("X", "A"), ("B", "A"), ("A", "Y"), ("A", "D")])
-        assert not route_blocked(g2, route, {"D"})
+        assert not path_blocked(g2, route, {"D"})
 
 
 class TestEnumeratePaths:
@@ -390,11 +389,11 @@ class TestDirectRoute:
                 path = direct_route(g, route)
                 path.validate_in(g)
                 assert len(set(path.nodes)) == len(path.nodes)
-                assert path.start == route.node_sequence[0]
+                assert path.start == route.nodes[0]
                 assert path.end == route.end
-                others = set(g.nodes) - {route.node_sequence[0], route.end}
+                others = set(g.nodes) - {route.nodes[0], route.end}
                 for given in subsets_of(others):
-                    if not route_blocked(g, route, given):
+                    if not path_blocked(g, route, given):
                         assert not path_blocked(g, path, given), (route, path, given)
 
 

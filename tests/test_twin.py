@@ -35,7 +35,7 @@ class TestConstruction:
         assert twin.graph.parents("X@do") == frozenset()
         assert twin.counterfactual_of["Z"] == "Z"
         assert twin.counterfactual_of["X"] == "X@do"
-        assert twin.factual_of["X"] == "X"
+        assert twin.counterfactual_of["Y"] == "Y@do"
 
     def test_latent_feeds_both_worlds(self, fig1c):
         twin = twin_network(fig1c, {"X"})
