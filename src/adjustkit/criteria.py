@@ -175,9 +175,9 @@ class _Split(NamedTuple):
         return d_separated(self.backdoor, self.treatments, self.outcomes, covariates).separated
 
 
-def _split(graph: Admg, treatments, outcomes) -> _Split:
-    treatments = graph.node_subset(treatments)
-    outcomes = graph.node_subset(outcomes)
+def _split(graph: Admg, query: AdjustmentQuery) -> _Split:
+    """The split of a query that :func:`_checked_query` passed."""
+    treatments, outcomes = query.treatments, query.outcomes
     amenable = proper_causal_nodes(graph, treatments, outcomes) - treatments
     forbidden = _closure(amenable, lambda v: graph._children[v] - treatments)
     drop = {(a, b) for a in treatments for b in graph.children(a) & amenable}
@@ -187,7 +187,7 @@ def _split(graph: Admg, treatments, outcomes) -> _Split:
 
 def proper_backdoor_graph(graph: Admg, treatments, outcomes) -> Admg:
     """Remove the first edge of every proper causal path from the treatments."""
-    return _split(graph, treatments, outcomes).backdoor
+    return _split(graph, _checked_query(graph, AdjustmentQuery(treatments, outcomes))).backdoor
 
 
 def adjustment_criterion(graph: Admg, query: AdjustmentQuery, mode: str = "fast") -> CriterionVerdict:
@@ -199,10 +199,8 @@ def adjustment_criterion(graph: Admg, query: AdjustmentQuery, mode: str = "fast"
     """
     if mode not in ("fast", "reference"):
         raise ValueError(f"unknown mode: {mode!r}")
-    _checked_query(graph, query)
+    split = _split(graph, _checked_query(graph, query))
     x, y, z = query.treatments, query.outcomes, query.covariates
-
-    split = _split(graph, x, y)
     offenders = sorted(z & split.forbidden)
     if offenders:
         offender = offenders[0]
@@ -245,17 +243,14 @@ def canonical_adjustment_set(graph: Admg, treatments, outcomes) -> frozenset[str
     """Ancestors of treatments or outcomes, minus both sets and minus every
     node on a proper causal path.  Valid whenever any valid set exists.
     """
-    treatments = graph.node_subset(treatments)
-    outcomes = graph.node_subset(outcomes)
-    causal = proper_causal_nodes(graph, treatments, outcomes)
-    AdjustmentQuery(treatments, outcomes)  # rejects empty sets, as exists_adjustment_set does
-    return _canonical(graph, treatments, outcomes, causal)
+    query = _checked_query(graph, AdjustmentQuery(treatments, outcomes))
+    x, y = query.treatments, query.outcomes
+    return _canonical(graph, x, y, proper_causal_nodes(graph, x, y))
 
 
 def exists_adjustment_set(graph: Admg, treatments, outcomes) -> bool:
     """Whether any covariate set makes adjustment valid for this pair."""
-    split = _split(graph, treatments, outcomes)
-    AdjustmentQuery(split.treatments, split.outcomes)  # rejects empty sets
+    split = _split(graph, _checked_query(graph, AdjustmentQuery(treatments, outcomes)))
     return split.admits(_canonical(graph, split.treatments, split.outcomes, split.amenable))
 
 
@@ -271,16 +266,13 @@ def enumerate_adjustment_sets(
     """
     if limit <= 0:
         raise ValueError("limit must be positive")
-    treatments = graph.node_subset(treatments)
-    outcomes = graph.node_subset(outcomes)
+    split = _split(graph, _checked_query(graph, AdjustmentQuery(treatments, outcomes)))
     if candidates is None:
-        candidates = frozenset(graph.nodes) - treatments - outcomes
+        candidates = frozenset(graph.nodes) - split.treatments - split.outcomes
     else:
         candidates = graph.node_subset(candidates)
-        if candidates & (treatments | outcomes):
+        if candidates & (split.treatments | split.outcomes):
             raise GraphError("candidates must avoid treatments and outcomes")
-    query = AdjustmentQuery(treatments, outcomes)
-    split = _split(graph, query.treatments, query.outcomes)
     # the canonical set is valid whenever any set is, so when it fails no
     # subset of any candidate pool can pass
     if not split.admits(_canonical(graph, split.treatments, split.outcomes, split.amenable)):

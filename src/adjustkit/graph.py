@@ -58,12 +58,17 @@ __all__ = [
 ]
 
 
-def _node_set(names) -> NodeSet:
-    """``names`` as a frozenset.  A bare ``str`` is refused: iterating it would
-    read one multi-character node name as one node per character."""
+def _node_names(names):
+    """``names`` itself, after refusing a bare ``str``: iterating it would read
+    one multi-character node name as one node per character."""
     if isinstance(names, str):
         raise TypeError(f"expected a collection of node names, not the string {names!r}")
-    return frozenset(names)
+    return names
+
+
+def _node_set(names) -> NodeSet:
+    """``names`` as a frozenset; a bare ``str`` is refused."""
+    return frozenset(_node_names(names))
 
 
 class GraphError(ValueError):
@@ -87,8 +92,13 @@ class UnknownNodeError(GraphError):
     """Raised when an operation names a node the graph does not contain."""
 
 
-_NAME = r"[A-Za-z_][A-Za-z0-9_]*(?:@do)?"  # the node names both Admg and the text format accept
+# the node names both Admg and the text format accept; the word part is never
+# cut short, so a run of names splits one way and a bad node line fails fast
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*(?![A-Za-z0-9_])(?:@do)?"
 _NAME_RE = re.compile(_NAME)
+# the two line shapes; an edge is tried first, so ``node -> A`` is an edge
+_EDGE_RE = re.compile(rf"\s*({_NAME})\s*(<->|->)\s*({_NAME})\s*")
+_NODE_LINE_RE = re.compile(rf"\s*node\s+((?:{_NAME}\s*)+)")
 # one token (an arrow or a name) or the first character that starts none
 _TOKEN_RE = re.compile(rf"\s*(?:(<->|->|{_NAME})|(\S))")
 
@@ -107,7 +117,7 @@ class Admg:
     bidirected: frozenset[tuple[str, str]] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "nodes", tuple(_node_names(self.nodes)))
         object.__setattr__(self, "directed", frozenset(self.directed))
         object.__setattr__(self, "bidirected", frozenset(self.bidirected))
         known = set()
@@ -169,9 +179,7 @@ class Admg:
     @classmethod
     def build(cls, directed=(), bidirected=(), nodes=()) -> "Admg":
         """Build a graph collecting nodes in first-mention order."""
-        order: dict[str, None] = {}
-        for v in nodes:
-            order.setdefault(v, None)
+        order = dict.fromkeys(_node_names(nodes))
         d = []
         for a, b in directed:
             order.setdefault(a, None)
@@ -225,14 +233,23 @@ class Admg:
         return f"<Admg [{' '.join(self.nodes)}] {edges}>"
 
 
-def _tokens(line: str, lineno: int):
-    """Split one line of graph text into (token, column) pairs."""
-    out = []
+def _line_error(line: str, lineno: int):
+    """Raise the :class:`GraphParseError` of a line that is neither an edge nor
+    a node line, at its first offending token; return if the line is blank."""
+    toks = []
     for m in _TOKEN_RE.finditer(line):
         if m.group(2) is not None:
             raise GraphParseError(f"unexpected character {m.group(2)!r}", lineno, m.start(2) + 1)
-        out.append((m.group(1), m.start(1) + 1))
-    return out
+        toks.append((m.group(1), m.start(1) + 1))
+    if not toks:
+        return
+    if toks[0][0] == "node":
+        if len(toks) < 2:
+            raise GraphParseError("node line declares no nodes", lineno, toks[0][1])
+        col = next(c for tok, c in toks if tok in ("->", "<->"))
+        raise GraphParseError("arrow in node declaration", lineno, col)
+    col = next((c for i, (tok, c) in enumerate(toks) if i > 2 or (tok in ("->", "<->")) != (i == 1)), toks[0][1])
+    raise GraphParseError("expected 'A -> B', 'A <-> B', or a node declaration", lineno, col)
 
 
 def parse_graph(text: str) -> Admg:
@@ -247,46 +264,22 @@ def parse_graph(text: str) -> Admg:
     seen_bidirected: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        toks = _tokens(line, lineno)
-        if not toks:
+        edge = _EDGE_RE.fullmatch(line)
+        if edge is None:
+            declared = _NODE_LINE_RE.fullmatch(line)
+            if declared is None:
+                _line_error(line, lineno)
+            else:
+                order.update(dict.fromkeys(_NAME_RE.findall(declared[1])))
             continue
-        first, first_col = toks[0]
-        shape_ok = (
-            len(toks) == 3
-            and toks[1][0] in ("->", "<->")
-            and toks[0][0] not in ("->", "<->")
-            and toks[2][0] not in ("->", "<->")
-        )
-        if first == "node" and not shape_ok:  # an edge may start at a node named ``node``
-            if len(toks) < 2:
-                raise GraphParseError("node line declares no nodes", lineno, first_col)
-            for tok, col in toks[1:]:
-                if tok in ("->", "<->"):
-                    raise GraphParseError("arrow in node declaration", lineno, col)
-                order.setdefault(tok, None)
-            continue
-        if not shape_ok:
-            col = first_col
-            for i, (tok, c) in enumerate(toks):
-                is_arrow = tok in ("->", "<->")
-                if i > 2 or is_arrow != (i == 1):
-                    col = c
-                    break
-            raise GraphParseError("expected 'A -> B', 'A <-> B', or a node declaration", lineno, col)
-        tail, arrow, head = toks[0][0], toks[1][0], toks[2][0]
+        tail, arrow, head = edge.groups()
         order.setdefault(tail, None)
         order.setdefault(head, None)
-        if tail == head:
-            raise GraphParseError(f"self-loop on {tail}", lineno, first_col)
-        if arrow == "->":
-            if (tail, head) in seen_directed:
-                raise GraphParseError(f"duplicate edge {tail} -> {head}", lineno, first_col)
-            seen_directed.add((tail, head))
-        else:
-            pair = tuple(sorted((tail, head)))
-            if pair in seen_bidirected:
-                raise GraphParseError(f"duplicate edge {tail} <-> {head}", lineno, first_col)
-            seen_bidirected.add(pair)
+        seen, pair = (seen_directed, (tail, head)) if arrow == "->" else (seen_bidirected, tuple(sorted((tail, head))))
+        if tail == head or pair in seen:
+            problem = f"self-loop on {tail}" if tail == head else f"duplicate edge {tail} {arrow} {head}"
+            raise GraphParseError(problem, lineno, edge.start(1) + 1)
+        seen.add(pair)
     return _acyclic(_EMPTY._edit(add_nodes=tuple(order), add_directed=seen_directed, add_bidirected=seen_bidirected))
 
 

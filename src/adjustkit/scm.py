@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 STATE_SPACE_LIMIT = 1 << 20
+_KEPT_JOINT_CELLS = 1 << 13  # a model keeps the joints of _post_joint up to this size
 _ROW_SUM_TOL = 1e-12
 _DIST_SUM_TOL = 1e-9
 
@@ -184,12 +185,8 @@ class DiscreteScm:
 
     def validate(self):
         self._check_tables()
-        _check_projection(self.expanded_dag, self.latents, self.graph)
-
-
-def _check_projection(dag: Admg, latents: tuple[str, ...], graph: Admg):
-    if latent_project(dag, latents) != graph:
-        raise ValueError("expanded DAG does not project back onto the model's graph")
+        if latent_project(self.expanded_dag, self.latents) != self.graph:
+            raise ValueError("expanded DAG does not project back onto the model's graph")
 
 
 @lru_cache(maxsize=32)
@@ -201,9 +198,7 @@ def _model_cache(graph: Admg) -> tuple[Admg, tuple[str, ...], dict]:
     are kept per graph, for the 32 graphs used last.
     """
     dag, mapping = expand_bidirected(graph)
-    latents = tuple(sorted(mapping.values()))
-    _check_projection(dag, latents, graph)
-    return dag, latents, {}
+    return dag, tuple(sorted(mapping.values())), {}
 
 
 def random_scm(graph: Admg, seed: int, domain_size: int = 2, positivity_eps: float = 0.05) -> DiscreteScm:
@@ -233,9 +228,7 @@ def random_scm(graph: Admg, seed: int, domain_size: int = 2, positivity_eps: flo
         table = positivity_eps + (1.0 - domain_size * positivity_eps) * table
         shape = tuple(domains[p] for p in parents) + (domain_size,)
         cpts[v] = table.reshape(shape)
-    scm = DiscreteScm(graph, dag, domains, cpts, latents, seed=seed)
-    scm._check_tables()
-    models[key] = scm
+    scm = models[key] = DiscreteScm(graph, dag, domains, cpts, latents, seed=seed)
     return scm
 
 
@@ -249,7 +242,8 @@ def _post_joint(scm: DiscreteScm, treatments) -> tuple[tuple[str, ...], np.ndarr
 
     The product of every table except the treatments' keeps one axis per
     observed node (name-sorted, treatments included) with the latents summed
-    out; its slice at each x sums to one.  Cached per treatment set, read-only.
+    out; its slice at each x sums to one.  Read-only, and kept on the model
+    per treatment set when it has at most ``_KEPT_JOINT_CELLS`` cells.
     """
     treatments = tuple(sorted(treatments))
     key = ("post", treatments)
@@ -274,6 +268,8 @@ def _post_joint(scm: DiscreteScm, treatments) -> tuple[tuple[str, ...], np.ndarr
         observed = tuple(n for n in names if n not in scm.latents)
         acc = acc / acc.sum(axis=tuple(i for i, n in enumerate(observed) if n not in treatments), keepdims=True)
         acc.flags.writeable = False
+        if acc.size > _KEPT_JOINT_CELLS:
+            return observed, acc
         scm._cache[key] = (observed, acc)
     return scm._cache[key]
 
@@ -448,9 +444,9 @@ def counterfactual_joint(scm: DiscreteScm, terms) -> Dist:
 
 def independence_gap(dist: Dist, first, second, given) -> float:
     """Largest deviation from P(a, b | z) = P(a | z) P(b | z) over cells with P(z) > 0."""
-    first = frozenset(first)
-    second = frozenset(second)
-    given = frozenset(given)
+    first = _node_set(first)
+    second = _node_set(second)
+    given = _node_set(given)
     if first & second or first & given or second & given:
         raise ValueError("sets must be pairwise disjoint")
     joint = dist.marginal(first | second | given)

@@ -145,6 +145,17 @@ class TestCheckVerbs:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("fault, x, y, message", [
+        ("same sets", "X", "X", "treatments, outcomes, and covariates must be pairwise disjoint"),
+        ("empty outcomes", "X", "", "treatment and outcome sets must be nonempty"),
+        ("unknown node", "X", "W", "unknown node: W"),
+    ])
+    def test_adjustment_verbs_reject_a_bad_query_alike(self, capsys, fault, x, y, message):
+        verbs = ("check-adjust", "check-backdoor", "check-t7", "find-sets", "canonical-set", "exists-set",
+                 "verify", "refute")
+        for verb in verbs:
+            assert invoke(capsys, verb, "--graph", FIG1A, "-X", x, "-Y", y) == (2, "", f"error: {message}\n"), verb
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert invoke(capsys, "frobnicate")[0] == 2
 

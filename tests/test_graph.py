@@ -43,6 +43,7 @@ from adjustkit import (
 )
 from adjustkit.cli import run
 from adjustkit.graph import HEAD, TAIL
+from adjustkit.scm import independence_gap
 from adjustkit.separation import enumerate_paths, find_inducing_path
 from adjustkit.twin import noise_linked, twin_network
 from conftest import (
@@ -137,11 +138,34 @@ class TestParse:
             ("A -> B -> C", 1, 8, "expected 'A -> B'"),
             ("node A\n\t A <- B", 2, 5, "unexpected character '<'"),
             ("A -> B # ok\nA\u00a0-> C$", 2, 7, "unexpected character '$'"),
+            # every kind of error, each at its line and column
+            ("A -> B\n  node  # nothing declared", 2, 3, "node line declares no nodes"),
+            ("node A B -> C", 1, 10, "arrow in node declaration"),
+            ("A -> B\nB -> B", 2, 1, "self-loop on B"),
+            ("A -> B\n A <-> C\n\n  A -> B", 4, 3, "duplicate edge A -> B"),
+            ("A <-> B\n\tB <-> A", 2, 2, "duplicate edge B <-> A"),
+            ("X -> A@doB", 1, 10, "expected 'A -> B'"),
+            ("A@doB -> C", 1, 5, "expected 'A -> B'"),
+            ("node\u00a0A\u00a0B\u00a0->\u00a0C", 1, 10, "arrow in node declaration"),
+            ("node\u00a0A\u00a0B\u00a0%", 1, 10, "unexpected character '%'"),
+            # ``node -> A`` is an edge, so a second one is a duplicate, and
+            # ``node -> A -> B`` is a node line with an arrow in it
+            ("node -> A\nnode -> A", 2, 1, "duplicate edge node -> A"),
+            ("node -> A -> B", 1, 6, "arrow in node declaration"),
+            ("A -> B\nnode node\nnode -> node", 3, 1, "self-loop on node"),
         ]
         for text, line, column, message in cases:
             with pytest.raises(GraphParseError, match=re.escape(message)) as err:
                 parse_graph(text)
             assert (err.value.line, err.value.column) == (line, column)
+
+    def test_bad_node_line_fails_fast(self):
+        # a node-line pattern that could split one run of letters into names
+        # in many ways takes exponential time to reject this line (1.5 s at 24)
+        started = time.perf_counter()
+        with pytest.raises(GraphParseError, match="column 36: unexpected character '!'"):
+            parse_graph("node " + "a" * 30 + "!")
+        assert time.perf_counter() - started < 1.0
 
     def test_malformed_edge_line(self):
         with pytest.raises(GraphParseError):
@@ -276,12 +300,17 @@ class TestAdmgValue:
             lambda: AdjustmentQuery({"AB"}, {"C"}, "B"),
             lambda: dist.marginal("AB"),
             lambda: interventional(scm, {}, "AB"),
+            lambda: independence_gap(dist, {"B"}, "AB", ()),
+            lambda: Admg("AB"),
+            lambda: Admg.build(nodes="AB"),
         ]
         for call in calls:
             with pytest.raises(TypeError, match="not the string"):
                 call()
         assert descendants(g, {"AB"}) == {"AB", "C"}
         assert dist.marginal({"AB"}).names == ("AB",)
+        assert independence_gap(dist, {"B"}, {"AB"}, ()) == 0.0
+        assert Admg(["AB", "A"]).nodes == Admg.build(nodes=("AB", "A")).nodes == ("AB", "A")
 
 
 class TestAncestry:

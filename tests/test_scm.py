@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import time
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -187,6 +188,21 @@ class TestRandomScm:
         again = random_scm(graph_from_edges(edges), seed=1)
         assert np.array_equal(again.cpts["Ra"], before)
 
+    def test_every_drawn_model_validates(self):
+        # random_scm does not re-check its own draw, so every draw is checked here
+        for graph in all_mixed_graphs(3) + graph_family():
+            for seed in range(3):
+                random_scm(graph, seed).validate()
+
+    def test_validate_checks_a_model_built_outside(self, fig1a, fig1b):
+        scm = random_scm(fig1a, seed=0)
+        elsewhere = DiscreteScm(fig1b, scm.expanded_dag, dict(scm.domains), dict(scm.cpts), scm.latents)
+        with pytest.raises(ValueError, match="does not project back"):
+            elsewhere.validate()
+        doubled = {**scm.cpts, "X": scm.cpts["X"] * 2}
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            DiscreteScm(fig1a, scm.expanded_dag, dict(scm.domains), doubled, scm.latents).validate()
+
     def test_model_copies_the_callers_tables(self):
         scm = random_scm(graph_from_edges([("Ca", "Cb")]), seed=2)
         tables = {v: t.copy() for v, t in scm.cpts.items()}
@@ -229,6 +245,21 @@ class TestJointObserved:
         scm = random_scm(chain_graph(21), seed=0)
         with pytest.raises(StateSpaceError):
             joint_observed(scm)
+
+    def test_small_joints_are_kept_on_the_model(self, fig1a):
+        scm = random_scm(fig1a, seed=0)
+        assert joint_observed(scm).probs is joint_observed(scm).probs
+
+    def test_large_joints_are_not_kept(self):
+        # every trial draws a new model, and the models stay in the model
+        # cache; each kept its two 2^20-cell joints (16 MB) after the call
+        tracemalloc.start()
+        try:
+            verify_soundness(chain_graph(20), q({"N0"}, {"N19"}), trials=4, seed=500)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 8 * 2**20
 
 
 class TestInterventional:

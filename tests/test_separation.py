@@ -18,6 +18,7 @@ from adjustkit import (
     d_separated,
     descendants,
     direct_route,
+    enumerate_adjustment_sets,
     enumerate_paths,
     expand_bidirected,
     find_inducing_path,
@@ -25,6 +26,7 @@ from adjustkit import (
     path_blocked,
     path_from_string,
 )
+from adjustkit import separation
 from adjustkit.graph import HEAD, TAIL, Admg
 from adjustkit.separation import _path_key
 from conftest import (
@@ -278,6 +280,40 @@ class TestDSeparated:
         started = time.perf_counter()
         assert d_separated(chain, {"V0"}, {"V2999"}, given).separated
         assert time.perf_counter() - started < 0.5
+
+
+class TestLookupCount:
+    """``perfbench/workloads.py`` caps each scale call at a number of
+    neighbourhood lookups, counted by rebinding ``separation.incident_marks``.
+    A sweep that read adjacency some other way would lift that cap unseen."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"lookups": 0, "states": 0}
+        lookup, sweep = separation.incident_marks, separation._sweep
+
+        def counted_lookup(graph, v):
+            counts["lookups"] += 1
+            return lookup(graph, v)
+
+        def counted_sweep(*args):
+            layers, onward = sweep(*args)
+            counts["states"] += len(onward)  # one entry per state expanded
+            return layers, onward
+
+        monkeypatch.setattr(separation, "incident_marks", counted_lookup)
+        monkeypatch.setattr(separation, "_sweep", counted_sweep)
+        return counts
+
+    def test_one_lookup_per_state_of_a_chain_decision(self, counts):
+        assert not d_separated(chain_graph(200), {"V0"}, {"V199"}, set()).separated
+        assert counts["states"] == 199
+        assert counts["lookups"] >= counts["states"]
+
+    def test_one_lookup_per_state_of_a_set_enumeration(self, counts, fig1a):
+        assert enumerate_adjustment_sets(fig1a, {"X"}, {"Y"}) == [{"Z"}]
+        assert counts["states"] > 0
+        assert counts["lookups"] >= counts["states"]
 
 
 def _agreement_queries(graph, rng=None, cap=None):
