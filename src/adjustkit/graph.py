@@ -246,6 +246,7 @@ def _line_error(line: str, lineno: int):
     if toks[0][0] == "node":
         if len(toks) < 2:
             raise GraphParseError("node line declares no nodes", lineno, toks[0][1])
+        # names alone would have matched the node-line pattern, so an arrow is here
         col = next(c for tok, c in toks if tok in ("->", "<->"))
         raise GraphParseError("arrow in node declaration", lineno, col)
     col = next((c for i, (tok, c) in enumerate(toks) if i > 2 or (tok in ("->", "<->")) != (i == 1)), toks[0][1])

@@ -145,12 +145,12 @@ class TestCheckVerbs:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("fault, x, y, message", [
-        ("same sets", "X", "X", "treatments, outcomes, and covariates must be pairwise disjoint"),
-        ("empty outcomes", "X", "", "treatment and outcome sets must be nonempty"),
-        ("unknown node", "X", "W", "unknown node: W"),
-    ])
-    def test_adjustment_verbs_reject_a_bad_query_alike(self, capsys, fault, x, y, message):
+    @pytest.mark.parametrize("x, y, message", [
+        ("X", "X", "treatments, outcomes, and covariates must be pairwise disjoint"),
+        ("X", "", "treatment and outcome sets must be nonempty"),
+        ("X", "W", "unknown node: W"),
+    ], ids=["same sets", "empty outcomes", "unknown node"])
+    def test_adjustment_verbs_reject_a_bad_query_alike(self, capsys, x, y, message):
         verbs = ("check-adjust", "check-backdoor", "check-t7", "find-sets", "canonical-set", "exists-set",
                  "verify", "refute")
         for verb in verbs:

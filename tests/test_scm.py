@@ -251,8 +251,8 @@ class TestJointObserved:
         assert joint_observed(scm).probs is joint_observed(scm).probs
 
     def test_large_joints_are_not_kept(self):
-        # every trial draws a new model, and the models stay in the model
-        # cache; each kept its two 2^20-cell joints (16 MB) after the call
+        # every trial draws a new model, which stays in the model cache, so
+        # a 2^20-cell joint (8 MB) kept on it would outlive the call
         tracemalloc.start()
         try:
             verify_soundness(chain_graph(20), q({"N0"}, {"N19"}), trials=4, seed=500)
