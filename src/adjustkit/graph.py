@@ -180,17 +180,12 @@ class Admg:
     def build(cls, directed=(), bidirected=(), nodes=()) -> "Admg":
         """Build a graph collecting nodes in first-mention order."""
         order = dict.fromkeys(_node_names(nodes))
-        d = []
-        for a, b in directed:
+        directed, bidirected = list(directed), list(bidirected)
+        for a, b in directed + bidirected:
             order.setdefault(a, None)
             order.setdefault(b, None)
-            d.append((a, b))
-        bi = []
-        for a, b in bidirected:
-            order.setdefault(a, None)
-            order.setdefault(b, None)
-            bi.append(tuple(sorted((a, b))))
-        return cls(tuple(order), frozenset(d), frozenset(bi))
+        bidirected = [tuple(sorted(pair)) for pair in bidirected]
+        return cls(tuple(order), frozenset(map(tuple, directed)), frozenset(bidirected))
 
     def parents(self, v: str) -> NodeSet:
         self._require(v)
@@ -249,7 +244,11 @@ def _line_error(line: str, lineno: int):
         # names alone would have matched the node-line pattern, so an arrow is here
         col = next(c for tok, c in toks if tok in ("->", "<->"))
         raise GraphParseError("arrow in node declaration", lineno, col)
-    col = next((c for i, (tok, c) in enumerate(toks) if i > 2 or (tok in ("->", "<->")) != (i == 1)), toks[0][1])
+    col = toks[0][1]
+    for i, (tok, c) in enumerate(toks):
+        if i > 2 or (tok in ("->", "<->")) != (i == 1):
+            col = c
+            break
     raise GraphParseError("expected 'A -> B', 'A <-> B', or a node declaration", lineno, col)
 
 
@@ -276,10 +275,14 @@ def parse_graph(text: str) -> Admg:
         tail, arrow, head = edge.groups()
         order.setdefault(tail, None)
         order.setdefault(head, None)
-        seen, pair = (seen_directed, (tail, head)) if arrow == "->" else (seen_bidirected, tuple(sorted((tail, head))))
-        if tail == head or pair in seen:
-            problem = f"self-loop on {tail}" if tail == head else f"duplicate edge {tail} {arrow} {head}"
-            raise GraphParseError(problem, lineno, edge.start(1) + 1)
+        if arrow == "->":
+            seen, pair = seen_directed, (tail, head)
+        else:
+            seen, pair = seen_bidirected, tuple(sorted((tail, head)))
+        if tail == head:
+            raise GraphParseError(f"self-loop on {tail}", lineno, edge.start(1) + 1)
+        if pair in seen:
+            raise GraphParseError(f"duplicate edge {tail} {arrow} {head}", lineno, edge.start(1) + 1)
         seen.add(pair)
     return _acyclic(_EMPTY._edit(add_nodes=tuple(order), add_directed=seen_directed, add_bidirected=seen_bidirected))
 

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 STATE_SPACE_LIMIT = 1 << 20
-_KEPT_JOINT_CELLS = 1 << 13  # a model keeps the joints of _post_joint up to this size
+_KEPT_JOINT_CELLS = 1 << 13  # random_scm keeps a model whose joints have at most this many cells
 _ROW_SUM_TOL = 1e-12
 _DIST_SUM_TOL = 1e-9
 
@@ -195,7 +195,10 @@ def _model_cache(graph: Admg) -> tuple[Admg, tuple[str, ...], dict]:
     so far keyed by (seed, domain_size, positivity_eps).
 
     Oracle sweeps draw the same seeds for every query on a graph, so models
-    are kept per graph, for the 32 graphs used last.
+    are kept per graph, for the 32 graphs used last.  A model keeps every
+    joint it computes, so one whose joints have more than
+    ``_KEPT_JOINT_CELLS`` cells is not kept here: it lives as long as its caller
+    holds it.
     """
     dag, mapping = expand_bidirected(graph)
     return dag, tuple(sorted(mapping.values())), {}
@@ -228,7 +231,9 @@ def random_scm(graph: Admg, seed: int, domain_size: int = 2, positivity_eps: flo
         table = positivity_eps + (1.0 - domain_size * positivity_eps) * table
         shape = tuple(domains[p] for p in parents) + (domain_size,)
         cpts[v] = table.reshape(shape)
-    scm = models[key] = DiscreteScm(graph, dag, domains, cpts, latents, seed=seed)
+    scm = DiscreteScm(graph, dag, domains, cpts, latents, seed=seed)
+    if domain_size ** len(graph.nodes) <= _KEPT_JOINT_CELLS:
+        models[key] = scm
     return scm
 
 
@@ -242,8 +247,7 @@ def _post_joint(scm: DiscreteScm, treatments) -> tuple[tuple[str, ...], np.ndarr
 
     The product of every table except the treatments' keeps one axis per
     observed node (name-sorted, treatments included) with the latents summed
-    out; its slice at each x sums to one.  Read-only, and kept on the model
-    per treatment set when it has at most ``_KEPT_JOINT_CELLS`` cells.
+    out; its slice at each x sums to one.  Cached per treatment set, read-only.
     """
     treatments = tuple(sorted(treatments))
     key = ("post", treatments)
@@ -268,8 +272,6 @@ def _post_joint(scm: DiscreteScm, treatments) -> tuple[tuple[str, ...], np.ndarr
         observed = tuple(n for n in names if n not in scm.latents)
         acc = acc / acc.sum(axis=tuple(i for i, n in enumerate(observed) if n not in treatments), keepdims=True)
         acc.flags.writeable = False
-        if acc.size > _KEPT_JOINT_CELLS:
-            return observed, acc
         scm._cache[key] = (observed, acc)
     return scm._cache[key]
 

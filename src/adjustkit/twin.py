@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .criteria import _checked_query
 from .graph import Admg, _fresh, _splice_latents, descendants
 from .separation import d_separated
 
@@ -93,8 +92,8 @@ def graphical_ignorability(graph: Admg, query) -> bool:
 
     True exactly when the adjustment criterion accepts the covariates.
     """
-    _checked_query(graph, query)
     x, y, z = query.treatments, query.outcomes, query.covariates
+    graph.node_subset(x | y | z)
     twin = twin_network(graph, x)
     outcome_copies = frozenset(twin.counterfactual_of[v] for v in y)
     return d_separated(noise_linked(twin), x, outcome_copies, z).separated

@@ -251,8 +251,8 @@ class TestJointObserved:
         assert joint_observed(scm).probs is joint_observed(scm).probs
 
     def test_large_joints_are_not_kept(self):
-        # every trial draws a new model, which stays in the model cache, so
-        # a 2^20-cell joint (8 MB) kept on it would outlive the call
+        # every trial draws a new model; were it kept in the model cache, its
+        # 2^20-cell joints (8 MB each) would outlive the call
         tracemalloc.start()
         try:
             verify_soundness(chain_graph(20), q({"N0"}, {"N19"}), trials=4, seed=500)
@@ -260,6 +260,18 @@ class TestJointObserved:
         finally:
             tracemalloc.stop()
         assert kept < 8 * 2**20
+
+    def test_a_held_large_model_keeps_its_joints(self):
+        # a model with 2^14-cell joints is not shared, but the caller that
+        # holds it computes each joint once, as with a small model
+        graph = chain_graph(14)
+        scm = random_scm(graph, seed=0)
+        assert random_scm(graph, seed=0) is not scm
+        assert joint_observed(scm).probs is joint_observed(scm).probs
+        interventional(scm, {"N3": 0}, {"N9"})
+        post = scm._cache[("post", ("N3",))]
+        interventional(scm, {"N3": 1}, {"N9"})
+        assert scm._cache[("post", ("N3",))] is post
 
 
 class TestInterventional:
