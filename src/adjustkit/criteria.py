@@ -33,16 +33,15 @@ from .graph import (
     _pair_name,
     _splice_latents,
     ancestors,
-    cut_outgoing,
     descendants,
     proper_causal_nodes,
     remove_nodes,
 )
 from .separation import (
     Path,
+    _decide,
     _path_key,
     d_connected_nodes,
-    d_separated,
     enumerate_paths,
     path_blocked,
     path_from_string,
@@ -145,11 +144,11 @@ def backdoor_criterion(graph: Admg, query: AdjustmentQuery) -> CriterionVerdict:
     """
     _checked_query(graph, query)
     x, y, z = query.treatments, query.outcomes, query.covariates
-    offenders = sorted(z & descendants(graph, x))
+    x_desc = descendants(graph, x)
+    offenders = sorted(z & x_desc)
     if offenders:
         return CriterionVerdict(False, TreatmentDescendant(offenders[0]))
-    stripped = cut_outgoing(graph, x)
-    verdict = d_separated(stripped, x, y, z)
+    verdict = _decide(graph, x, y, z, x_desc)  # as in ``cut_outgoing(graph, x)``
     if verdict.separated:
         return CriterionVerdict(True)
     return CriterionVerdict(False, OpenBackdoorPath(verdict.witness))
@@ -162,17 +161,17 @@ def _is_causal(path: Path) -> bool:
 class _Split(NamedTuple):
     """What every adjustment test of one (treatments, outcomes) pair shares."""
 
+    graph: Admg  # its proper back-door graph lacks the edges from the treatments into ``amenable``
     treatments: NodeSet
     outcomes: NodeSet
     amenable: NodeSet  # proper causal nodes outside the treatments
     forbidden: NodeSet  # descendants of ``amenable`` once edges into the treatments are cut
-    backdoor: Admg  # the proper back-door graph
 
     def admits(self, covariates: NodeSet) -> bool:
         """The adjustment criterion's decision, without a witness."""
         if covariates & self.forbidden:
             return False
-        return d_separated(self.backdoor, self.treatments, self.outcomes, covariates).separated
+        return _decide(self.graph, self.treatments, self.outcomes, covariates, self.amenable).separated
 
 
 def _split(graph: Admg, query: AdjustmentQuery) -> _Split:
@@ -180,14 +179,14 @@ def _split(graph: Admg, query: AdjustmentQuery) -> _Split:
     treatments, outcomes = query.treatments, query.outcomes
     amenable = proper_causal_nodes(graph, treatments, outcomes) - treatments
     forbidden = _closure(amenable, lambda v: graph._children[v] - treatments)
-    drop = {(a, b) for a in treatments for b in graph.children(a) & amenable}
-    backdoor = graph._edit(drop_directed=drop) if drop else graph
-    return _Split(treatments, outcomes, amenable, forbidden, backdoor)
+    return _Split(graph, treatments, outcomes, amenable, forbidden)
 
 
 def proper_backdoor_graph(graph: Admg, treatments, outcomes) -> Admg:
     """Remove the first edge of every proper causal path from the treatments."""
-    return _split(graph, _checked_query(graph, AdjustmentQuery(treatments, outcomes))).backdoor
+    split = _split(graph, _checked_query(graph, AdjustmentQuery(treatments, outcomes)))
+    drop = {(a, b) for a in split.treatments for b in graph._children[a] & split.amenable}
+    return graph._edit(drop_directed=drop) if drop else graph
 
 
 def adjustment_criterion(graph: Admg, query: AdjustmentQuery, mode: str = "fast") -> CriterionVerdict:
@@ -217,7 +216,7 @@ def adjustment_criterion(graph: Admg, query: AdjustmentQuery, mode: str = "fast"
             return CriterionVerdict(False, OpenNonCausalPath(min(open_paths, key=_path_key)))
         return CriterionVerdict(True)
 
-    verdict = d_separated(split.backdoor, x, y, z)
+    verdict = _decide(graph, x, y, z, split.amenable)
     if verdict.separated:
         return CriterionVerdict(True)
     return CriterionVerdict(False, OpenNonCausalPath(verdict.witness))
@@ -344,17 +343,17 @@ def magnification_check(graph: Admg, query: AdjustmentQuery) -> bool:
     x, y, z = query.treatments, query.outcomes, query.covariates
     outgoing_from_y = {(a, b) for a in y for b in graph.children(a)}
     magnified = magnify(graph, outgoing_from_y)
-    x_desc = descendants(graph, x)
+    x_desc = descendants(magnified, x)  # on the graph's own nodes, the same set as in ``graph``
     z_nd = z - x_desc
     z_d = z & x_desc
     helpers = helper_conditioning_set(magnified, x, y, z)
     # helpers and z_nd avoid the treatments' descendants by construction, so
     # the back-door test of them is its separation half alone
-    if not d_separated(cut_outgoing(magnified, x), x, y, helpers | z_nd).separated:
+    if not _decide(magnified, x, y, helpers | z_nd, x_desc).separated:
         return False
-    if helpers and not d_separated(magnified, x, helpers, z).separated:
+    if helpers and not _decide(magnified, x, helpers, z).separated:
         return False
-    if z_d and not d_separated(magnified, y, z_d, x | z_nd | helpers).separated:
+    if z_d and not _decide(magnified, y, z_d, x | z_nd | helpers).separated:
         return False
     return True
 

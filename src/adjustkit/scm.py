@@ -195,10 +195,10 @@ def _model_cache(graph: Admg) -> tuple[Admg, tuple[str, ...], dict]:
     so far keyed by (seed, domain_size, positivity_eps).
 
     Oracle sweeps draw the same seeds for every query on a graph, so models
-    are kept per graph, for the 32 graphs used last.  A model keeps every
-    joint it computes, so one whose joints have more than
-    ``_KEPT_JOINT_CELLS`` cells is not kept here: it lives as long as its caller
-    holds it.
+    are kept per graph, for the 32 graphs used last.  A model keeps the
+    joints it computes (up to :func:`_post_joint`'s bound), so one whose joints
+    have more than ``_KEPT_JOINT_CELLS`` cells is not kept here: it lives as
+    long as its caller holds it.
     """
     dag, mapping = expand_bidirected(graph)
     return dag, tuple(sorted(mapping.values())), {}
@@ -247,7 +247,10 @@ def _post_joint(scm: DiscreteScm, treatments) -> tuple[tuple[str, ...], np.ndarr
 
     The product of every table except the treatments' keeps one axis per
     observed node (name-sorted, treatments included) with the latents summed
-    out; its slice at each x sums to one.  Cached per treatment set, read-only.
+    out; its slice at each x sums to one.  Read-only.  A model keeps its
+    observational joint, and interventional ones while their cells total at
+    most ``_KEPT_JOINT_CELLS``: a joint that would pass that total replaces
+    them.
     """
     treatments = tuple(sorted(treatments))
     key = ("post", treatments)
@@ -272,6 +275,11 @@ def _post_joint(scm: DiscreteScm, treatments) -> tuple[tuple[str, ...], np.ndarr
         observed = tuple(n for n in names if n not in scm.latents)
         acc = acc / acc.sum(axis=tuple(i for i, n in enumerate(observed) if n not in treatments), keepdims=True)
         acc.flags.writeable = False
+        if treatments:
+            held = [k for k in scm._cache if k[1]]
+            if acc.size + sum(scm._cache[k][1].size for k in held) > _KEPT_JOINT_CELLS:
+                for k in held:
+                    del scm._cache[k]
         scm._cache[key] = (observed, acc)
     return scm._cache[key]
 

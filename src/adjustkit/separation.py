@@ -6,8 +6,9 @@ walk when both adjacent edge marks point into it.  One breadth-first sweep
 over (node, arrived-by-arrowhead) states answers every question: it decides
 separation, lists the nodes connected to a set and finds inducing paths, and
 the witness of a failing decision is the least open path read off the
-layers of the sweep that decided it, in linear time.  The path enumerator
-survives only as the reference checker.
+layers of the sweep that decided it, in linear time.  A sweep can take the
+edges from its sources into chosen nodes as cut, so no criterion builds a
+cut graph.  The path enumerator survives only as the reference checker.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .graph import (
     TAIL,
     Admg,
     GraphError,
+    _closure,
     ancestors,
     incident_marks,
 )
@@ -242,7 +244,7 @@ def _onward(graph: Admg, v: str, came_head: bool | None, given: frozenset[str], 
     return [m for m in marks if (into if came_head and m[1] == HEAD else through)]
 
 
-def _sweep(graph: Admg, first: frozenset[str], second: frozenset[str], given: frozenset[str]):
+def _sweep(graph: Admg, first: frozenset[str], second: frozenset[str], given: frozenset[str], cut_into=frozenset()):
     """Breadth-first layers of (node, arrived-by-arrowhead) states on walks
     from ``first`` kept open by ``given``, up to the first layer that
     reaches ``second`` (to the end when none does, so an empty last layer
@@ -252,8 +254,12 @@ def _sweep(graph: Admg, first: frozenset[str], second: frozenset[str], given: fr
     ``second``, never pass through it.  Returns the layers and, for each
     state before the last layer, its edges onward as (next state, step
     marks) pairs into the next layer.
+
+    Directed edges from ``first`` into ``cut_into`` count as absent: no walk
+    re-enters ``first``, so only starts and the open-collider climb meet them.
     """
-    open_colliders = ancestors(graph, given)
+    parents = graph._parents
+    open_colliders = _closure(given, lambda v: parents[v] - first if v in cut_into else parents[v])
     layers = [[(a, None) for a in sorted(first)]]
     depth = {state: 0 for state in layers[0]}
     onward: dict = {}
@@ -264,7 +270,7 @@ def _sweep(graph: Admg, first: frozenset[str], second: frozenset[str], given: fr
             v, came_head = state
             edges = onward[state] = []
             for w, mv, mw in _onward(graph, v, came_head, given, open_colliders):
-                if w in first:
+                if w in first or (came_head is None and mv == TAIL and w in cut_into):
                     continue
                 after = (w, mw == HEAD)
                 if after not in depth:
@@ -360,8 +366,12 @@ def d_separated(graph: Admg, first, second, given) -> SepVerdict:
     given = graph.node_subset(given)
     if first & second or first & given or second & given:
         raise GraphError("query sets must be pairwise disjoint")
-    layers, onward = _sweep(graph, first, second, given)
-    return SepVerdict(layers, onward, second)
+    return _decide(graph, first, second, given)
+
+
+def _decide(graph: Admg, first, second, given, cut_into=frozenset()) -> SepVerdict:
+    """:func:`d_separated` on sets the caller checked, cut as in :func:`_sweep`."""
+    return SepVerdict(*_sweep(graph, first, second, given, cut_into), second)
 
 
 def d_connected_nodes(graph: Admg, sources, given) -> frozenset[str]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import Admg, _fresh, _splice_latents, descendants
-from .separation import d_separated
+from .separation import _decide
 
 __all__ = ["TwinGraph", "graphical_ignorability", "noise_linked", "twin_network"]
 
@@ -96,4 +96,4 @@ def graphical_ignorability(graph: Admg, query) -> bool:
     graph.node_subset(x | y | z)
     twin = twin_network(graph, x)
     outcome_copies = frozenset(twin.counterfactual_of[v] for v in y)
-    return d_separated(noise_linked(twin), x, outcome_copies, z).separated
+    return _decide(noise_linked(twin), x, outcome_copies, z).separated

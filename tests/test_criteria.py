@@ -16,9 +16,12 @@ from adjustkit import (
     backdoor_criterion,
     canonical_adjustment_set,
     cut_incoming,
+    cut_outgoing,
+    d_separated,
     descendants,
     enumerate_adjustment_sets,
     exists_adjustment_set,
+    graphical_ignorability,
     helper_conditioning_set,
     latent_project,
     magnification_check,
@@ -202,6 +205,78 @@ class TestProperBackdoorGraph:
         cut = proper_backdoor_graph(g, {"X"}, {"Y"})
         assert ("X", "W") in cut.directed
         assert ("X", "Y") not in cut.directed
+
+    def test_keeps_edges_between_treatments(self):
+        # B is a treatment, so A -> B starts no proper causal path
+        g = graph_from_edges([("A", "B"), ("B", "Y")])
+        cut = proper_backdoor_graph(g, {"A", "B"}, {"Y"})
+        assert cut.directed == frozenset({("A", "B")})
+        assert cut.nodes == g.nodes
+
+
+def _sampled_queries(graph, rng, count):
+    """``count`` random (X, Y, Z) splits of the graph's nodes, X and Y nonempty."""
+    nodes = sorted(graph.nodes)
+    out = []
+    while len(out) < count:
+        roles = [rng.randrange(4) for _ in nodes]
+        x, y, z = ({v for v, r in zip(nodes, roles) if r == k} for k in range(3))
+        if x and y:
+            out.append(q(x, y, z))
+    return out
+
+
+def _cut_sweep_cases():
+    """Every query of every 3-node ADMG, then 30 sampled queries on each
+    family graph and on 300 random 4-7 node graphs, a third of whose
+    directed edges carry a parallel bidirected edge."""
+    for g in all_mixed_graphs(3):
+        for query in all_queries(g):
+            yield g, query
+    for i, g in enumerate(graph_family()):
+        for query in _sampled_queries(g, random.Random(i), 30):
+            yield g, query
+    for i in range(300):
+        rng = random.Random(90_000 + i)
+        g = random_admg(rng, n_nodes=rng.randint(4, 7), max_edges=12)
+        doubled = {tuple(sorted(e)) for e in sorted(g.directed) if rng.random() < 1 / 3}
+        g = Admg(g.nodes, g.directed, g.bidirected | doubled)
+        for query in _sampled_queries(g, rng, 30):
+            yield g, query
+
+
+class TestSweepCut:
+    """The adjustment and back-door verdicts sweep G with the cut edges taken
+    as absent; they must answer as a sweep of the cut graph would."""
+
+    def test_verdicts_match_the_cut_graphs(self):
+        for g, query in _cut_sweep_cases():
+            x, y, z = query.treatments, query.outcomes, query.covariates
+            fast = adjustment_criterion(g, query)
+            if not isinstance(fast.failure, ForbiddenDescendant):
+                want = d_separated(proper_backdoor_graph(g, x, y), x, y, z)
+                assert (fast.holds, fast.witness_path) == (want.separated, want.witness), (g, query)
+            if not z & descendants(g, x):
+                back = backdoor_criterion(g, query)
+                want = d_separated(cut_outgoing(g, x), x, y, z)
+                assert (back.holds, back.witness_path) == (want.separated, want.witness), (g, query)
+
+    def test_verdicts_build_no_cut_graph(self, monkeypatch):
+        edits = []
+        edit = Admg._edit
+        monkeypatch.setattr(Admg, "_edit", lambda self, **kw: edits.append(1) or edit(self, **kw))
+        limits = ((adjustment_criterion, 0), (backdoor_criterion, 0),
+                  (graphical_ignorability, 2), (magnification_check, 2))
+        for g in all_mixed_graphs(3):
+            for query in all_queries(g):
+                for verdict, limit in limits:
+                    edits.clear()
+                    verdict(g, query)
+                    assert len(edits) <= limit, (verdict.__name__, g, query)
+        g = parse_graph("X -> Y")
+        edits.clear()
+        proper_backdoor_graph(g, {"X"}, {"Y"})
+        assert edits == [1]  # the counter sees the transform's copy
 
 
 class TestStripToBackdoor:

@@ -261,6 +261,20 @@ class TestJointObserved:
             tracemalloc.stop()
         assert kept < 8 * 2**20
 
+    def test_a_kept_model_bounds_its_interventional_joints(self):
+        # a 13-node chain's joints have 2^13 cells (64 kB), so its models stay
+        # in the model cache; asked about twelve treatment sets, each keeps its
+        # observational joint and at most 2^13 cells of interventional ones
+        graph = graph_from_edges([(f"M{i}", f"M{i + 1}") for i in range(12)])
+        tracemalloc.start()
+        try:
+            for i in range(12):
+                verify_soundness(graph, q({f"M{i}"}, {"M12"}), trials=10)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 4 * 2**20
+
     def test_a_held_large_model_keeps_its_joints(self):
         # a model with 2^14-cell joints is not shared, but the caller that
         # holds it computes each joint once, as with a small model

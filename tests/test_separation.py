@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjustkit import (
+    AdjustmentQuery,
     GraphError,
     Path,
     Route,
     Step,
+    adjustment_criterion,
     ancestors,
+    backdoor_criterion,
     d_connected_nodes,
     d_separated,
     descendants,
@@ -22,6 +25,8 @@ from adjustkit import (
     enumerate_paths,
     expand_bidirected,
     find_inducing_path,
+    graphical_ignorability,
+    magnification_check,
     parse_graph,
     path_blocked,
     path_from_string,
@@ -312,6 +317,14 @@ class TestLookupCount:
 
     def test_one_lookup_per_state_of_a_set_enumeration(self, counts, fig1a):
         assert enumerate_adjustment_sets(fig1a, {"X"}, {"Y"}) == [{"Z"}]
+        assert counts["states"] > 0
+        assert counts["lookups"] >= counts["states"]
+
+    @pytest.mark.parametrize(
+        "verdict", [adjustment_criterion, backdoor_criterion, graphical_ignorability, magnification_check]
+    )
+    def test_every_verdict_sweeps_through_the_counted_lookups(self, counts, verdict):
+        verdict(chain_graph(200), AdjustmentQuery(frozenset({"V0"}), frozenset({"V199"})))
         assert counts["states"] > 0
         assert counts["lookups"] >= counts["states"]
 
