@@ -195,10 +195,9 @@ def _model_cache(graph: Admg) -> tuple[Admg, tuple[str, ...], dict]:
     so far keyed by (seed, domain_size, positivity_eps).
 
     Oracle sweeps draw the same seeds for every query on a graph, so models
-    are kept per graph, for the 32 graphs used last.  A model keeps the
-    joints it computes (up to :func:`_post_joint`'s bound), so one whose joints
+    are kept per graph, for the 32 graphs used last.  A model whose joints
     have more than ``_KEPT_JOINT_CELLS`` cells is not kept here: it lives as
-    long as its caller holds it.
+    long as its caller holds it, and keeps every joint it computes.
     """
     dag, mapping = expand_bidirected(graph)
     return dag, tuple(sorted(mapping.values())), {}
@@ -247,10 +246,10 @@ def _post_joint(scm: DiscreteScm, treatments) -> tuple[tuple[str, ...], np.ndarr
 
     The product of every table except the treatments' keeps one axis per
     observed node (name-sorted, treatments included) with the latents summed
-    out; its slice at each x sums to one.  Read-only.  A model keeps its
-    observational joint, and interventional ones while their cells total at
-    most ``_KEPT_JOINT_CELLS``: a joint that would pass that total replaces
-    them.
+    out; its slice at each x sums to one.  Read-only.  A model whose joints
+    have at most ``_KEPT_JOINT_CELLS`` cells (one :func:`random_scm` keeps)
+    holds its observational joint and interventional ones while their cells
+    total at most that, dropping the oldest first; a larger one holds all.
     """
     treatments = tuple(sorted(treatments))
     key = ("post", treatments)
@@ -275,11 +274,10 @@ def _post_joint(scm: DiscreteScm, treatments) -> tuple[tuple[str, ...], np.ndarr
         observed = tuple(n for n in names if n not in scm.latents)
         acc = acc / acc.sum(axis=tuple(i for i, n in enumerate(observed) if n not in treatments), keepdims=True)
         acc.flags.writeable = False
-        if treatments:
+        if treatments and acc.size <= _KEPT_JOINT_CELLS:
             held = [k for k in scm._cache if k[1]]
-            if acc.size + sum(scm._cache[k][1].size for k in held) > _KEPT_JOINT_CELLS:
-                for k in held:
-                    del scm._cache[k]
+            while acc.size + sum(scm._cache[k][1].size for k in held) > _KEPT_JOINT_CELLS:
+                del scm._cache[held.pop(0)]
         scm._cache[key] = (observed, acc)
     return scm._cache[key]
 

@@ -275,17 +275,30 @@ class TestJointObserved:
             tracemalloc.stop()
         assert kept < 4 * 2**20
 
+    def test_a_kept_model_drops_its_oldest_interventional_joint(self):
+        # a 12-node chain's joints have 2^12 cells, so a kept model holds two
+        # interventional joints; a third replaces the one computed first
+        graph = graph_from_edges([(f"K{i}", f"K{i + 1}") for i in range(11)])
+        scm = random_scm(graph, seed=0)
+        assert random_scm(graph, seed=0) is scm
+        for v in ("K1", "K2", "K1", "K3"):
+            interventional(scm, {v: 0}, {"K11"})
+        assert [k for k in scm._cache if k[1]] == [("post", ("K2",)), ("post", ("K3",))]
+
     def test_a_held_large_model_keeps_its_joints(self):
         # a model with 2^14-cell joints is not shared, but the caller that
-        # holds it computes each joint once, as with a small model
+        # holds it computes each joint once, as with a small model, however
+        # many treatment sets it asks about
         graph = chain_graph(14)
         scm = random_scm(graph, seed=0)
         assert random_scm(graph, seed=0) is not scm
         assert joint_observed(scm).probs is joint_observed(scm).probs
-        interventional(scm, {"N3": 0}, {"N9"})
-        post = scm._cache[("post", ("N3",))]
-        interventional(scm, {"N3": 1}, {"N9"})
-        assert scm._cache[("post", ("N3",))] is post
+        posts = {}
+        for v in ("N3", "N5", "N3", "N5"):
+            interventional(scm, {v: 1}, {"N9"})
+            posts.setdefault(v, scm._cache[("post", (v,))])
+            assert scm._cache[("post", (v,))] is posts[v]
+        assert all(scm._cache[("post", (v,))] is post for v, post in posts.items())
 
 
 class TestInterventional:
