@@ -29,19 +29,19 @@ from .graph import (
     NodeSet,
     _closure,
     _cut_ancestors,
+    _node_names,
     _node_set,
     _pair_name,
     _splice_latents,
     ancestors,
     descendants,
     proper_causal_nodes,
-    remove_nodes,
 )
+from . import separation
 from .separation import (
     Path,
     _decide,
     _path_key,
-    d_connected_nodes,
     enumerate_paths,
     path_blocked,
     path_from_string,
@@ -184,8 +184,9 @@ def _split(graph: Admg, query: AdjustmentQuery) -> _Split:
 
 def proper_backdoor_graph(graph: Admg, treatments, outcomes) -> Admg:
     """Remove the first edge of every proper causal path from the treatments."""
-    split = _split(graph, _checked_query(graph, AdjustmentQuery(treatments, outcomes)))
-    drop = {(a, b) for a in split.treatments for b in graph._children[a] & split.amenable}
+    query = _checked_query(graph, AdjustmentQuery(treatments, outcomes))
+    amenable = proper_causal_nodes(graph, query.treatments, query.outcomes) - query.treatments
+    drop = {(a, b) for a in query.treatments for b in graph._children[a] & amenable}
     return graph._edit(drop_directed=drop) if drop else graph
 
 
@@ -296,11 +297,11 @@ def magnify(graph: Admg, mediated_edges=()) -> Admg:
     name-sorted) sitting between tail and head.  A ``@do`` end is spelled
     ``_do`` in these names.  The result is a DAG.
     """
-    mediated = {tuple(e) for e in mediated_edges}
+    mediated = {tuple(_node_names(edge)) for edge in _node_names(mediated_edges)}
     unknown = mediated - set(graph.directed)
-    if unknown:
-        a, b = sorted(unknown)[0]
-        raise GraphError(f"cannot mediate {a} -> {b}: not a directed edge of the graph")
+    if unknown:  # a pair of nodes that is not an edge, or not a pair at all
+        edge = " -> ".join(map(str, sorted(unknown)[0]))
+        raise GraphError(f"cannot mediate {edge}: not a directed edge of the graph")
     taken = set(graph.nodes)
     sources, directed = _splice_latents(graph, "__W", taken)
     extra = list(sources.values())
@@ -313,19 +314,50 @@ def magnify(graph: Admg, mediated_edges=()) -> Admg:
                        add_nodes=extra, add_directed=directed)
 
 
+def _magnified_view(graph: Admg, outcomes: NodeSet):
+    """``magnify(graph, out-edges of outcomes)`` as a view (``separation._sweep``): the source
+    of a bidirected pair {A, B} is ``("W", A, B)``, the mediator of ``Y -> C`` is ``("C", Y, C)``."""
+    def edges(v):
+        if isinstance(v, tuple):  # a source or a mediator: its two edges
+            kind, a, b = v
+            return [(a, TAIL, HEAD), (b, TAIL, HEAD)] if kind == "W" else [(a, HEAD, TAIL), (b, TAIL, HEAD)]
+        out = []
+        for w, mv, mw in separation.incident_marks(graph, v):
+            if mv == mw:  # both heads: the pair's source instead
+                w, mw = ("W", *sorted((v, w))), TAIL
+            elif (v if mv == TAIL else w) in outcomes:  # an outcome's out-edge: its mediator instead
+                w = ("C", v, w) if mv == TAIL else ("C", w, v)
+            out.append((w, mv, mw))
+        return out
+
+    def parents(v):
+        if isinstance(v, tuple):
+            return frozenset({v[1]} if v[0] == "C" else ())  # a mediator's tail
+        return frozenset(("C", p, v) if p in outcomes else p for p in graph._parents[v]).union(
+            ("W", *sorted((v, s))) for s in graph._spouses[v])
+
+    return edges, parents
+
+
+def _helpers(view, treatments: frozenset, below: frozenset, outcomes: frozenset, covariates: frozenset) -> frozenset:
+    """:func:`helper_conditioning_set` over a view (``separation._sweep``), given the treatments' descendants."""
+    edges, parents = view
+    pruned = (lambda v: [m for m in edges(v) if m[0] not in treatments], lambda v: parents(v) - treatments)
+    layers, _ = separation._sweep(None, outcomes, frozenset(), covariates, frozenset(), pruned)
+    linked = {v for layer in layers for v, _ in layer}
+    return (_closure(covariates, parents) & linked) - below - covariates - outcomes
+
+
 def helper_conditioning_set(graph: Admg, treatments, outcomes, covariates) -> frozenset[str]:
     """Covariate ancestors that the treatments cannot reach but the outcomes
     can: ancestors of the covariates, outside the treatments' descendants,
     still connected to the outcomes given the covariates once the treatment
     nodes are deleted.  Covariates and outcomes themselves are excluded.
     """
-    treatments = graph.node_subset(treatments)
-    outcomes = graph.node_subset(outcomes)
-    covariates = graph.node_subset(covariates)
-    anc = ancestors(graph, covariates)
-    pruned = remove_nodes(graph, treatments)
-    linked = d_connected_nodes(pruned, outcomes, covariates)
-    return (anc & linked) - descendants(graph, treatments) - covariates - outcomes
+    x, y, z = (graph.node_subset(s) for s in (treatments, outcomes, covariates))
+    if x & y or x & z or y & z:
+        raise GraphError("query sets must be pairwise disjoint")
+    return _helpers(separation._view(graph), x, descendants(graph, x), y, z)
 
 
 def magnification_check(graph: Admg, query: AdjustmentQuery) -> bool:
@@ -341,19 +373,19 @@ def magnification_check(graph: Admg, query: AdjustmentQuery) -> bool:
     """
     _checked_query(graph, query)
     x, y, z = query.treatments, query.outcomes, query.covariates
-    outgoing_from_y = {(a, b) for a in y for b in graph.children(a)}
-    magnified = magnify(graph, outgoing_from_y)
-    x_desc = descendants(magnified, x)  # on the graph's own nodes, the same set as in ``graph``
+    view = _magnified_view(graph, y)
+    below = _closure(x, graph._children.__getitem__)
+    x_desc = below.union(("C", a, c) for a in y & below for c in graph._children[a])  # and the mediators below
     z_nd = z - x_desc
     z_d = z & x_desc
-    helpers = helper_conditioning_set(magnified, x, y, z)
+    helpers = _helpers(view, x, x_desc, y, z)
     # helpers and z_nd avoid the treatments' descendants by construction, so
     # the back-door test of them is its separation half alone
-    if not _decide(magnified, x, y, helpers | z_nd, x_desc).separated:
+    if not _decide(graph, x, y, helpers | z_nd, x_desc, view).separated:
         return False
-    if helpers and not _decide(magnified, x, helpers, z).separated:
+    if helpers and not _decide(graph, x, helpers, z, frozenset(), view).separated:
         return False
-    if z_d and not _decide(magnified, y, z_d, x | z_nd | helpers).separated:
+    if z_d and not _decide(graph, y, z_d, x | z_nd | helpers, frozenset(), view).separated:
         return False
     return True
 

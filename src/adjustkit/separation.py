@@ -227,8 +227,8 @@ def _path_key(path: Path):
     return (len(path.steps), path.nodes, tuple(s.arrow for s in path.steps))
 
 
-def _onward(graph: Admg, v: str, came_head: bool | None, given: frozenset[str], open_colliders: frozenset[str]):
-    """Edges at ``v`` that continue an open walk which reached ``v``.
+def _onward(v, marks, came_head: bool | None, given: frozenset, open_colliders: frozenset):
+    """The edges ``marks`` at ``v`` that continue an open walk which reached ``v``.
 
     ``came_head`` says whether the walk arrived through an arrowhead; it is
     ``None`` at the walk's start, where every edge may be taken.  Openness is
@@ -236,7 +236,6 @@ def _onward(graph: Admg, v: str, came_head: bool | None, given: frozenset[str], 
     ``open_colliders`` (the ancestors of ``given``), anything else needs
     ``v`` outside ``given``.
     """
-    marks = incident_marks(graph, v)
     if came_head is None:
         return marks
     through = v not in given
@@ -244,7 +243,12 @@ def _onward(graph: Admg, v: str, came_head: bool | None, given: frozenset[str], 
     return [m for m in marks if (into if came_head and m[1] == HEAD else through)]
 
 
-def _sweep(graph: Admg, first: frozenset[str], second: frozenset[str], given: frozenset[str], cut_into=frozenset()):
+def _view(graph: Admg):
+    """``graph`` as a view: a node's edges, by :func:`incident_marks`, and its parent set."""
+    return lambda v: incident_marks(graph, v), graph._parents.__getitem__
+
+
+def _sweep(graph: Admg, first: frozenset, second: frozenset, given: frozenset, cut_into=frozenset(), view=None):
     """Breadth-first layers of (node, arrived-by-arrowhead) states on walks
     from ``first`` kept open by ``given``, up to the first layer that
     reaches ``second`` (to the end when none does, so an empty last layer
@@ -257,9 +261,12 @@ def _sweep(graph: Admg, first: frozenset[str], second: frozenset[str], given: fr
 
     Directed edges from ``first`` into ``cut_into`` count as absent: no walk
     re-enters ``first``, so only starts and the open-collider climb meet them.
+
+    A ``view`` (:func:`_view`) sweeps a graph derived from ``graph`` without
+    building it; its nodes may be any hashables, so such a sweep only decides.
     """
-    parents = graph._parents
-    open_colliders = _closure(given, lambda v: parents[v] - first if v in cut_into else parents[v])
+    edges_at, parents = view or _view(graph)
+    open_colliders = _closure(given, lambda v: parents(v) - first if v in cut_into else parents(v))
     layers = [[(a, None) for a in sorted(first)]]
     depth = {state: 0 for state in layers[0]}
     onward: dict = {}
@@ -269,7 +276,7 @@ def _sweep(graph: Admg, first: frozenset[str], second: frozenset[str], given: fr
         for state in layers[-1]:
             v, came_head = state
             edges = onward[state] = []
-            for w, mv, mw in _onward(graph, v, came_head, given, open_colliders):
+            for w, mv, mw in _onward(v, edges_at(v), came_head, given, open_colliders):
                 if w in first or (came_head is None and mv == TAIL and w in cut_into):
                     continue
                 after = (w, mw == HEAD)
@@ -369,9 +376,9 @@ def d_separated(graph: Admg, first, second, given) -> SepVerdict:
     return _decide(graph, first, second, given)
 
 
-def _decide(graph: Admg, first, second, given, cut_into=frozenset()) -> SepVerdict:
-    """:func:`d_separated` on sets the caller checked, cut as in :func:`_sweep`."""
-    return SepVerdict(*_sweep(graph, first, second, given, cut_into), second)
+def _decide(graph: Admg, first, second, given, cut_into=frozenset(), view=None) -> SepVerdict:
+    """:func:`d_separated` on sets the caller checked, cut and viewed as in :func:`_sweep`."""
+    return SepVerdict(*_sweep(graph, first, second, given, cut_into, view), second)
 
 
 def d_connected_nodes(graph: Admg, sources, given) -> frozenset[str]:

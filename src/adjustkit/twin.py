@@ -4,15 +4,15 @@ The construction duplicates every node the intervention can reach, leaves
 the rest shared between worlds, replaces bidirected edges with explicit
 exogenous parents feeding both worlds, and cuts all edges into the
 intervened copies.  Counterfactual independence questions then reduce to
-plain separation queries on the combined graph.
+separation queries on the combined graph, swept as a view of the original.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Admg, _fresh, _splice_latents, descendants
-from .separation import _decide
+from . import separation
+from .graph import HEAD, TAIL, Admg, _closure, _fresh, _splice_latents, descendants
 
 __all__ = ["TwinGraph", "graphical_ignorability", "noise_linked", "twin_network"]
 
@@ -86,6 +86,36 @@ def noise_linked(twin: TwinGraph) -> Admg:
     return twin.graph._edit(add_bidirected=links)
 
 
+def _twin_view(graph: Admg, treatments, affected):
+    """``noise_linked(twin_network(graph, treatments))`` as a view (``separation._sweep``) of
+    (node, world) states, each latent read as bidirected edges among its children: being
+    parentless and never conditioned on, it is an open fork on every walk."""
+    redrawn = affected - treatments
+
+    def edges(state):
+        v, world = state
+        marks = separation.incident_marks(graph, v)
+        if world and v in treatments:  # an intervened copy keeps only its edges to copies
+            return [((w, 1), mv, mw) for w, mv, mw in marks if mv == TAIL and w in redrawn]
+        out = [((v, 1 - world), HEAD, HEAD)] if v in redrawn else []  # the noise link
+        for w, mv, mw in marks:
+            if mw == TAIL:  # a parent: a copy's parents are copies where they exist
+                out.append(((w, int(world and w in affected)), mv, mw))
+                continue
+            if not world or mv == HEAD:  # the factual end, unless it is a copy's child
+                out.append(((w, 0), mv, mw))
+            if w in redrawn and (world or mv == HEAD or v not in affected):  # the copy, unless below a factual twin
+                out.append(((w, 1), mv, mw))
+        return out
+
+    def parents(state):
+        v, world = state
+        intervened = world and v in treatments
+        return frozenset((p, int(world and p in affected)) for p in (() if intervened else graph._parents[v]))
+
+    return edges, parents
+
+
 def graphical_ignorability(graph: Admg, query) -> bool:
     """Whether the post-intervention outcomes are separated from the
     treatments by the covariates, read off the twin network.
@@ -94,6 +124,7 @@ def graphical_ignorability(graph: Admg, query) -> bool:
     """
     x, y, z = query.treatments, query.outcomes, query.covariates
     graph.node_subset(x | y | z)
-    twin = twin_network(graph, x)
-    outcome_copies = frozenset(twin.counterfactual_of[v] for v in y)
-    return _decide(noise_linked(twin), x, outcome_copies, z).separated
+    affected = _closure(x, graph._children.__getitem__)
+    x0, z0 = (frozenset((v, 0) for v in s) for s in (x, z))
+    y1 = frozenset((v, int(v in affected)) for v in y)  # the outcomes' @do copies, where they exist
+    return separation._decide(graph, x0, y1, z0, frozenset(), _twin_view(graph, x, affected)).separated

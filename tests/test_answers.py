@@ -1,10 +1,12 @@
 """One committed digest of every public adjustment answer.
 
 For each graph the digest hashes, per query, the fast and reference
-adjustment verdict documents, the back-door verdict document and the twin
-and magnified booleans, and per (treatments, outcomes) pair the proper
-back-door graph's text, the canonical set, ``exists`` and the first four
-enumerated sets.  The graphs are every labelled 3-node ADMG with all of its
+adjustment verdict documents, the back-door verdict document, the twin
+and magnified booleans and the helper set on the magnified graph, and per
+(treatments, outcomes) pair the proper back-door graph's text, the canonical
+set, ``exists``, the first four enumerated sets, the twin network's text and
+name map, its noise-linked text and the text of the graph magnified at the
+outcomes' out-edges.  The graphs are every labelled 3-node ADMG with all of its
 queries, and the seeded 300-graph family with 16 queries each.
 
 A change that alters any answer changes its graph's hash, and the failure
@@ -28,8 +30,12 @@ from adjustkit import (
     enumerate_adjustment_sets,
     exists_adjustment_set,
     graphical_ignorability,
+    helper_conditioning_set,
     magnification_check,
+    magnify,
+    noise_linked,
     proper_backdoor_graph,
+    twin_network,
     verdict_to_json,
 )
 from conftest import all_mixed_graphs, all_queries, graph_family
@@ -53,10 +59,15 @@ def _names(nodes) -> list[str]:
     return sorted(nodes)
 
 
+def _magnified(graph, outcomes):
+    return magnify(graph, [(a, b) for a in sorted(outcomes) for b in sorted(graph.children(a))])
+
+
 def _answers(graph, queries) -> list:
     records = []
     pairs = {}
     for q in queries:
+        x, y, z = q.treatments, q.outcomes, q.covariates
         records.append([
             _names(q.treatments), _names(q.outcomes), _names(q.covariates),
             verdict_to_json("adjustment", adjustment_criterion(graph, q)),
@@ -64,15 +75,20 @@ def _answers(graph, queries) -> list:
             verdict_to_json("backdoor", backdoor_criterion(graph, q)),
             graphical_ignorability(graph, q),
             magnification_check(graph, q),
+            _names(helper_conditioning_set(_magnified(graph, y), x, y, z)),
         ])
         pairs.setdefault((tuple(_names(q.treatments)), tuple(_names(q.outcomes))), None)
     for x, y in pairs:
+        twin = twin_network(graph, x)
         records.append([
             list(x), list(y),
             proper_backdoor_graph(graph, x, y).to_text(),
             _names(canonical_adjustment_set(graph, x, y)),
             exists_adjustment_set(graph, x, y),
             [_names(s) for s in enumerate_adjustment_sets(graph, x, y, limit=4)],
+            twin.graph.to_text(), sorted(twin.counterfactual_of.items()),
+            noise_linked(twin).to_text(),
+            _magnified(graph, y).to_text(),
         ])
     return records
 

@@ -2,6 +2,7 @@
 
 import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -35,7 +36,8 @@ from adjustkit import (
     verdict_to_json,
 )
 from adjustkit.cli import run
-from adjustkit.graph import HEAD, Admg
+from adjustkit.criteria import _magnified_view
+from adjustkit.graph import HEAD, Admg, incident_marks
 from conftest import (
     FIXTURE_DIR,
     all_mixed_graphs,
@@ -266,7 +268,7 @@ class TestSweepCut:
         edit = Admg._edit
         monkeypatch.setattr(Admg, "_edit", lambda self, **kw: edits.append(1) or edit(self, **kw))
         limits = ((adjustment_criterion, 0), (backdoor_criterion, 0),
-                  (graphical_ignorability, 2), (magnification_check, 2))
+                  (graphical_ignorability, 0), (magnification_check, 0))
         for g in all_mixed_graphs(3):
             for query in all_queries(g):
                 for verdict, limit in limits:
@@ -442,6 +444,14 @@ class TestMagnify:
         with pytest.raises(GraphError):
             magnify(fig1a, [("Y", "X")])
 
+    def test_string_edges_refused(self):
+        g = graph_from_edges([("X", "Y")])
+        for edges in ("XY", ["XY"]):
+            with pytest.raises(TypeError):
+                magnify(g, edges)
+        with pytest.raises(GraphError, match="cannot mediate X -> Y -> Z"):
+            magnify(g, [("X", "Y", "Z")])
+
     def test_names_from_do_nodes_parse_back(self):
         g = graph_from_edges([("X", "Y@do")], [("Y@do", "Z")])
         ge = magnify(g, [("X", "Y@do")])
@@ -455,6 +465,26 @@ class TestMagnify:
         assert any(v.startswith("__W_A_B") and v != "__W_A_B" for v in ge.nodes)
 
 
+class TestMagnifiedView:
+    def test_view_is_the_magnified_graph(self):
+        """``magnification_check`` sweeps ``_magnified_view``; under the map of
+        each ``__W`` source to ``("W", A, B)`` and each ``__C`` mediator to
+        ``("C", Y, C)``, every state's edges and parents are the built graph's."""
+        for g in all_mixed_graphs(3) + graph_family():
+            for y in (frozenset(c) for k in (1, 2) for c in combinations(sorted(g.nodes), k)):
+                m = magnify(g, [(a, b) for a in y for b in g.children(a)])
+                state = {v: v for v in g.nodes}
+                for v in set(m.nodes) - set(g.nodes):  # a source has no parent, a mediator one
+                    state[v] = ("C", *m.parents(v), *m.children(v)) if m.parents(v) else ("W", *sorted(m.children(v)))
+                name = {s: v for v, s in state.items()}
+                assert len(name) == len(state)
+                edges, parents = _magnified_view(g, y)
+                for s, v in name.items():
+                    got = sorted((name[w], mv, mw) for w, mv, mw in edges(s))
+                    assert got == sorted(incident_marks(m, v)), (g, y, s)
+                    assert {name[p] for p in parents(s)} == m.parents(v), (g, y, s)
+
+
 class TestHelperConditioningSet:
     def test_spec_three_set_intersection(self):
         ge = graph_from_edges([("W", "Z"), ("W", "Y"), ("X_node", "Y")])
@@ -465,6 +495,11 @@ class TestHelperConditioningSet:
 
     def test_empty_covariates(self, fig1a):
         assert helper_conditioning_set(fig1a, {"X"}, {"Y"}, frozenset()) == frozenset()
+
+    @pytest.mark.parametrize("sets", [({"X"}, {"Y"}, {"X"}), ({"X"}, {"X"}, set()), ({"X"}, {"Y"}, {"Y"})])
+    def test_overlapping_sets_rejected(self, fig1a, sets):
+        with pytest.raises(GraphError, match="pairwise disjoint"):
+            helper_conditioning_set(fig1a, *sets)
 
     def test_result_disjoint_from_inputs(self):
         rng = random.Random(3)

@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -37,6 +38,7 @@ from adjustkit.separation import _path_key
 from conftest import (
     all_dags,
     all_mixed_graphs,
+    all_queries,
     brute_d_separated,
     chain_graph,
     graph_from_edges,
@@ -327,6 +329,33 @@ class TestLookupCount:
         verdict(chain_graph(200), AdjustmentQuery(frozenset({"V0"}), frozenset({"V199"})))
         assert counts["states"] > 0
         assert counts["lookups"] >= counts["states"]
+
+    @pytest.mark.parametrize("verdict", [graphical_ignorability, magnification_check])
+    def test_view_sweeps_look_up_every_expanded_node_of_the_graph(self, monkeypatch, verdict):
+        """The twin and magnified verdicts sweep views of the graph: a state
+        (v, world) or v of the graph costs a lookup of v, and only the view's
+        own sources and mediators, ("W", A, B) and ("C", Y, C), cost none."""
+        lookups, states = Counter(), []
+        lookup, sweep = separation.incident_marks, separation._sweep
+
+        def counted_lookup(graph, v):
+            lookups[v] += 1
+            return lookup(graph, v)
+
+        def recorded_sweep(*args):
+            layers, onward = sweep(*args)
+            states.extend(v for v, _ in onward)
+            return layers, onward
+
+        monkeypatch.setattr(separation, "incident_marks", counted_lookup)
+        monkeypatch.setattr(separation, "_sweep", recorded_sweep)
+        g = parse_graph("A -> X\nX -> M\nM -> Y\nY -> D\nY -> E\nA <-> Y\nM <-> D\nB <-> X\nB -> E")
+        for query in all_queries(g):
+            verdict(g, query)
+        expanded = Counter(v if isinstance(v, str) else v[0] for v in states if isinstance(v, str) or len(v) == 2)
+        assert set(expanded) == set(g.nodes)
+        assert any(isinstance(v, tuple) and v[-1] != 0 for v in states)  # @do copies, sources or mediators
+        assert all(lookups[v] >= n for v, n in expanded.items())
 
 
 def _agreement_queries(graph, rng=None, cap=None):

@@ -1,6 +1,7 @@
 """Twin-network construction and counterfactual ignorability."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -12,13 +13,16 @@ from adjustkit import (
     d_separated,
     descendants,
     graphical_ignorability,
+    latent_project,
     noise_linked,
     parse_graph,
     random_scm,
     twin_network,
 )
+from adjustkit.graph import incident_marks
 from adjustkit.scm import counterfactual_joint, independence_gap
-from conftest import all_mixed_graphs, all_queries, graph_from_edges, random_admg
+from adjustkit.twin import _twin_view
+from conftest import all_mixed_graphs, all_queries, graph_family, graph_from_edges, random_admg
 
 
 def q(x, y, z=()):
@@ -174,6 +178,28 @@ class TestNoiseLinks:
                 worst, independence_gap(dist, {"A@do(B=0,C=0)"}, {"B", "C"}, set())
             )
         assert worst > 1e-3
+
+
+class TestView:
+    def test_view_is_the_projected_noise_linked_twin_network(self):
+        """The ignorability verdict sweeps ``_twin_view``; each state's edges
+        and parents are those of the built graph with its latents projected."""
+        states = 0
+        for g in all_mixed_graphs(3) + graph_family():
+            for x in (frozenset(c) for k in (1, 2) for c in combinations(sorted(g.nodes), k)):
+                twin = twin_network(g, x)
+                linked = noise_linked(twin)
+                latents = set(linked.nodes) - set(twin.counterfactual_of.values()) - set(g.nodes)
+                projected = latent_project(linked, latents)
+                affected = descendants(g, x)
+                name = {(v, 0): v for v in g.nodes} | {(v, 1): twin.counterfactual_of[v] for v in affected}
+                edges, parents = _twin_view(g, x, affected)
+                for state, v in name.items():
+                    got = sorted((name[w], mv, mw) for w, mv, mw in edges(state))
+                    assert got == sorted(incident_marks(projected, v)), (g, x, state)
+                    assert {name[p] for p in parents(state)} == projected.parents(v), (g, x, state)
+                states += len(name)
+        assert states == 22_574
 
 
 class TestIgnorability:
