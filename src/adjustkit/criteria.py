@@ -32,16 +32,16 @@ from .graph import (
     _node_names,
     _node_set,
     _pair_name,
+    _proper_causal,
     _splice_latents,
-    ancestors,
-    descendants,
-    proper_causal_nodes,
 )
 from . import separation
 from .separation import (
     Path,
     _decide,
+    _disjoint_sets,
     _path_key,
+    _view,
     enumerate_paths,
     path_blocked,
     path_from_string,
@@ -144,11 +144,11 @@ def backdoor_criterion(graph: Admg, query: AdjustmentQuery) -> CriterionVerdict:
     """
     _checked_query(graph, query)
     x, y, z = query.treatments, query.outcomes, query.covariates
-    x_desc = descendants(graph, x)
+    x_desc = _closure(x, graph._children.__getitem__)
     offenders = sorted(z & x_desc)
     if offenders:
         return CriterionVerdict(False, TreatmentDescendant(offenders[0]))
-    verdict = _decide(graph, x, y, z, x_desc)  # as in ``cut_outgoing(graph, x)``
+    verdict = _decide(_view(graph), x, y, z, x_desc)  # as in ``cut_outgoing(graph, x)``
     if verdict.separated:
         return CriterionVerdict(True)
     return CriterionVerdict(False, OpenBackdoorPath(verdict.witness))
@@ -161,7 +161,7 @@ def _is_causal(path: Path) -> bool:
 class _Split(NamedTuple):
     """What every adjustment test of one (treatments, outcomes) pair shares."""
 
-    graph: Admg  # its proper back-door graph lacks the edges from the treatments into ``amenable``
+    view: tuple  # ``separation._view`` of the graph, swept without the edges from the treatments into ``amenable``
     treatments: NodeSet
     outcomes: NodeSet
     amenable: NodeSet  # proper causal nodes outside the treatments
@@ -171,21 +171,21 @@ class _Split(NamedTuple):
         """The adjustment criterion's decision, without a witness."""
         if covariates & self.forbidden:
             return False
-        return _decide(self.graph, self.treatments, self.outcomes, covariates, self.amenable).separated
+        return _decide(self.view, self.treatments, self.outcomes, covariates, self.amenable).separated
 
 
 def _split(graph: Admg, query: AdjustmentQuery) -> _Split:
     """The split of a query that :func:`_checked_query` passed."""
     treatments, outcomes = query.treatments, query.outcomes
-    amenable = proper_causal_nodes(graph, treatments, outcomes) - treatments
+    amenable = _proper_causal(graph, treatments, outcomes) - treatments
     forbidden = _closure(amenable, lambda v: graph._children[v] - treatments)
-    return _Split(graph, treatments, outcomes, amenable, forbidden)
+    return _Split(_view(graph), treatments, outcomes, amenable, forbidden)
 
 
 def proper_backdoor_graph(graph: Admg, treatments, outcomes) -> Admg:
     """Remove the first edge of every proper causal path from the treatments."""
     query = _checked_query(graph, AdjustmentQuery(treatments, outcomes))
-    amenable = proper_causal_nodes(graph, query.treatments, query.outcomes) - query.treatments
+    amenable = _proper_causal(graph, query.treatments, query.outcomes) - query.treatments
     drop = {(a, b) for a in query.treatments for b in graph._children[a] & amenable}
     return graph._edit(drop_directed=drop) if drop else graph
 
@@ -217,7 +217,7 @@ def adjustment_criterion(graph: Admg, query: AdjustmentQuery, mode: str = "fast"
             return CriterionVerdict(False, OpenNonCausalPath(min(open_paths, key=_path_key)))
         return CriterionVerdict(True)
 
-    verdict = _decide(graph, x, y, z, split.amenable)
+    verdict = _decide(split.view, x, y, z, split.amenable)
     if verdict.separated:
         return CriterionVerdict(True)
     return CriterionVerdict(False, OpenNonCausalPath(verdict.witness))
@@ -230,13 +230,13 @@ def strip_to_backdoor(graph: Admg, query: AdjustmentQuery) -> frozenset[str]:
     stripped set satisfies the back-door criterion.
     """
     _checked_query(graph, query)
-    return query.covariates - descendants(graph, query.treatments)
+    return query.covariates - _closure(query.treatments, graph._children.__getitem__)
 
 
 def _canonical(graph: Admg, treatments: NodeSet, outcomes: NodeSet, causal: NodeSet) -> frozenset[str]:
     # ``causal`` may be the proper causal nodes or ``_Split.amenable``: they
     # differ only inside the treatments, which are subtracted anyway
-    return ancestors(graph, treatments | outcomes) - treatments - outcomes - causal
+    return _closure(treatments | outcomes, graph._parents.__getitem__) - treatments - outcomes - causal
 
 
 def canonical_adjustment_set(graph: Admg, treatments, outcomes) -> frozenset[str]:
@@ -245,7 +245,7 @@ def canonical_adjustment_set(graph: Admg, treatments, outcomes) -> frozenset[str
     """
     query = _checked_query(graph, AdjustmentQuery(treatments, outcomes))
     x, y = query.treatments, query.outcomes
-    return _canonical(graph, x, y, proper_causal_nodes(graph, x, y))
+    return _canonical(graph, x, y, _proper_causal(graph, x, y))
 
 
 def exists_adjustment_set(graph: Admg, treatments, outcomes) -> bool:
@@ -343,7 +343,7 @@ def _helpers(view, treatments: frozenset, below: frozenset, outcomes: frozenset,
     """:func:`helper_conditioning_set` over a view (``separation._sweep``), given the treatments' descendants."""
     edges, parents = view
     pruned = (lambda v: [m for m in edges(v) if m[0] not in treatments], lambda v: parents(v) - treatments)
-    layers, _ = separation._sweep(None, outcomes, frozenset(), covariates, frozenset(), pruned)
+    layers, _ = separation._sweep(pruned, outcomes, frozenset(), covariates)
     linked = {v for layer in layers for v, _ in layer}
     return (_closure(covariates, parents) & linked) - below - covariates - outcomes
 
@@ -354,10 +354,8 @@ def helper_conditioning_set(graph: Admg, treatments, outcomes, covariates) -> fr
     still connected to the outcomes given the covariates once the treatment
     nodes are deleted.  Covariates and outcomes themselves are excluded.
     """
-    x, y, z = (graph.node_subset(s) for s in (treatments, outcomes, covariates))
-    if x & y or x & z or y & z:
-        raise GraphError("query sets must be pairwise disjoint")
-    return _helpers(separation._view(graph), x, descendants(graph, x), y, z)
+    x, y, z = _disjoint_sets(graph, treatments, outcomes, covariates)
+    return _helpers(_view(graph), x, _closure(x, graph._children.__getitem__), y, z)
 
 
 def magnification_check(graph: Admg, query: AdjustmentQuery) -> bool:
@@ -381,11 +379,11 @@ def magnification_check(graph: Admg, query: AdjustmentQuery) -> bool:
     helpers = _helpers(view, x, x_desc, y, z)
     # helpers and z_nd avoid the treatments' descendants by construction, so
     # the back-door test of them is its separation half alone
-    if not _decide(graph, x, y, helpers | z_nd, x_desc, view).separated:
+    if not _decide(view, x, y, helpers | z_nd, x_desc).separated:
         return False
-    if helpers and not _decide(graph, x, helpers, z, frozenset(), view).separated:
+    if helpers and not _decide(view, x, helpers, z).separated:
         return False
-    if z_d and not _decide(graph, y, z_d, x | z_nd | helpers, frozenset(), view).separated:
+    if z_d and not _decide(view, y, z_d, x | z_nd | helpers).separated:
         return False
     return True
 
@@ -415,15 +413,30 @@ def verdict_to_json(criterion: str, verdict: CriterionVerdict) -> dict:
     }
 
 
+def _json_fields(doc, keys, what: str) -> list:
+    """``doc[key]`` for each of ``keys``, after raising ``ValueError`` if a
+    document from outside is not a JSON object or lacks one of them."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{what} lacks the key {key!r}")
+    return [doc[key] for key in keys]
+
+
 def verdict_from_json(doc: dict | str) -> tuple[str, CriterionVerdict]:
     """Parse a verdict document back into objects (inverse of verdict_to_json)."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    criterion, holds = _json_fields(doc, ("criterion", "holds"), "verdict document")
     failure = None
     raw = doc.get("failure")
     if raw is not None:
-        cls = _FAILURE_CLASSES.get(raw["kind"])
+        (kind,) = _json_fields(raw, ("kind",), "failure document")
+        cls = _FAILURE_CLASSES.get(kind) if isinstance(kind, str) else None
         if cls is None:
-            raise ValueError(f"unknown failure kind: {raw['kind']!r}")
-        failure = cls(*(path_from_string(raw[f.name]) if f.name == "path" else raw[f.name] for f in fields(cls)))
-    return doc["criterion"], CriterionVerdict(doc["holds"], failure)
+            raise ValueError(f"unknown failure kind: {kind!r}")
+        names = [f.name for f in fields(cls)]
+        values = _json_fields(raw, names, f"{kind} failure document")
+        failure = cls(*(path_from_string(v) if name == "path" else v for name, v in zip(names, values)))
+    return criterion, CriterionVerdict(holds, failure)

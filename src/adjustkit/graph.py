@@ -387,12 +387,13 @@ def incident_marks(graph: Admg, v: str):
     Deterministic order: by neighbor name, then outgoing directed,
     incoming directed, bidirected.
     """
+    graph._require(v)
     out = []
-    for w in graph.children(v):
+    for w in graph._children[v]:
         out.append((w, 0, TAIL, HEAD))
-    for w in graph.parents(v):
+    for w in graph._parents[v]:
         out.append((w, 1, HEAD, TAIL))
-    for w in graph.spouses(v):
+    for w in graph._spouses[v]:
         out.append((w, 2, HEAD, HEAD))
     out.sort()
     return [(w, mv, mw) for w, _, mv, mw in out]
@@ -412,17 +413,17 @@ def latent_project(graph: Admg, hidden) -> Admg:
     """
     hidden = graph.node_subset(hidden)
     keep = tuple(v for v in graph.nodes if v not in hidden)
-    up = {b: _closure((b,), lambda v: graph.parents(v) & hidden) for b in keep}
+    up = {b: _closure((b,), lambda v: graph._parents[v] & hidden) for b in keep}
     holders: dict[str, list[str]] = {}  # node -> kept nodes whose closure holds it
     for b in keep:
         for v in up[b]:
             holders.setdefault(v, []).append(b)
-    directed = {(a, b) for b in keep for v in up[b] for a in graph.parents(v) - hidden}
+    directed = {(a, b) for b in keep for v in up[b] for a in graph._parents[v] - hidden}
     bidirected = {
         tuple(sorted((a, b)))
         for a in keep
         for v in up[a]
-        for u in graph.spouses(v) | {v}
+        for u in graph._spouses[v] | {v}
         for b in holders.get(u, ())
         if b != a
     }
@@ -443,7 +444,12 @@ def proper_causal_nodes(graph: Admg, treatments, outcomes) -> NodeSet:
     outcomes = graph.node_subset(outcomes)
     if treatments & outcomes:
         raise GraphError("treatment and outcome sets overlap")
-    return descendants(graph, treatments) & _cut_ancestors(graph, outcomes, treatments)
+    return _proper_causal(graph, treatments, outcomes)
+
+
+def _proper_causal(graph: Admg, treatments: NodeSet, outcomes: NodeSet) -> NodeSet:
+    """:func:`proper_causal_nodes` of checked, disjoint sets."""
+    return _closure(treatments, graph._children.__getitem__) & _cut_ancestors(graph, outcomes, treatments)
 
 
 def expand_bidirected(graph: Admg) -> tuple[Admg, dict[tuple[str, str], str]]:

@@ -25,8 +25,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .criteria import AdjustmentQuery, adjustment_criterion
-from .graph import Admg, _node_set, expand_bidirected, latent_project
+from .criteria import AdjustmentQuery, _json_fields, adjustment_criterion
+from .graph import Admg, _node_names, _node_set, expand_bidirected, latent_project
 
 __all__ = [
     "Counterexample",
@@ -290,10 +290,13 @@ def _marginal(names, probs: np.ndarray, keep) -> np.ndarray:
 
 
 def _check_values(names, sizes, x: Mapping[str, int]):
+    """Refuse unknown variables and values outside their integer domains; a ``bool`` is no integer here."""
     unknown = [v for v in x if v not in names]
     if unknown:
         raise ValueError(f"variables not in distribution: {sorted(unknown)}")
     for v, val in x.items():
+        if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+            raise ValueError(f"value {val!r} for {v} is not an integer")
         if not 0 <= val < sizes[names.index(v)]:
             raise ValueError(f"value {val} out of domain for {v}")
 
@@ -393,15 +396,15 @@ def counterfactual_joint(scm: DiscreteScm, terms) -> Dist:
     intervene on it.
     """
     parsed: list[tuple[str, tuple[tuple[str, int], ...]]] = []
+    observed_sizes = [scm.domains[v] for v in scm.observed]
     for node, intervention in terms:
         if node not in scm.observed:
             raise ValueError(f"unknown term node: {node}")
         items = tuple(sorted((intervention or {}).items()))
-        for k, val in items:
+        for k, _ in items:
             if k not in scm.observed:
                 raise ValueError(f"cannot intervene on {k}: not an observed node")
-            if not 0 <= val < scm.domains[k]:
-                raise ValueError(f"value {val} out of domain for {k}")
+        _check_values(scm.observed, observed_sizes, dict(items))
         parsed.append((node, items))
     if not parsed:
         raise ValueError("at least one term is required")
@@ -596,20 +599,20 @@ def scm_to_json(scm: DiscreteScm) -> dict:
 
 def scm_from_json(doc: dict) -> DiscreteScm:
     """Rebuild a model serialized by :func:`scm_to_json`."""
-    nodes = tuple(doc["nodes"])
-    latents = tuple(doc["latents"])
-    domains = {v: int(doc["domains"][v]) for v in nodes}
-    directed = frozenset(
-        (p, v) for v in nodes for p in doc["parents"][v]
-    )
+    nodes, latents, domains, parents, cpt = _json_fields(
+        doc, ("nodes", "latents", "domains", "parents", "cpt"), "model document")
+    nodes, latents = tuple(_node_names(nodes)), tuple(_node_names(latents))
+    domains = {v: int(d) for v, d in zip(nodes, _json_fields(domains, nodes, "domains"))}
+    parents = dict(zip(nodes, _json_fields(parents, nodes, "parents")))
+    cpt = dict(zip(nodes, _json_fields(cpt, nodes, "cpt")))
+    directed = frozenset((p, v) for v in nodes for p in parents[v])
     dag = Admg(nodes, directed, frozenset())
     cpts = {}
     for v in nodes:
-        parents = sorted(dag.parents(v))
-        if parents != list(doc["parents"][v]):
+        if sorted(dag.parents(v)) != list(parents[v]):
             raise ValueError(f"parents of {v} must be name-sorted in the document")
-        shape = tuple(domains[p] for p in parents) + (domains[v],)
-        cpts[v] = np.asarray(doc["cpt"][v], dtype=float).reshape(shape)
+        shape = tuple(domains[p] for p in parents[v]) + (domains[v],)
+        cpts[v] = np.asarray(cpt[v], dtype=float).reshape(shape)
     graph = latent_project(dag, latents)
     scm = DiscreteScm(graph, dag, domains, cpts, latents, seed=doc.get("seed"))
     scm._check_tables()  # the graph is the DAG's projection by construction

@@ -6,9 +6,12 @@ walk when both adjacent edge marks point into it.  One breadth-first sweep
 over (node, arrived-by-arrowhead) states answers every question: it decides
 separation, lists the nodes connected to a set and finds inducing paths, and
 the witness of a failing decision is the least open path read off the
-layers of the sweep that decided it, in linear time.  A sweep can take the
-edges from its sources into chosen nodes as cut, so no criterion builds a
-cut graph.  The path enumerator survives only as the reference checker.
+layers of the sweep that decided it, in linear time.  A sweep reads a view,
+a node's edges and its parents: a graph's own (``_view``), or that of a
+graph derived from it that is never built.  It can take the edges from its
+sources into chosen nodes as cut, so no criterion builds a cut graph.  The
+public functions check their node sets once; the sweep beneath them checks
+nothing.  The path enumerator survives only as the reference checker.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .graph import (
     Admg,
     GraphError,
     _closure,
-    ancestors,
     incident_marks,
 )
 
@@ -147,7 +149,7 @@ class Route(_Walk):
 
 def path_from_string(text: str) -> Path:
     """Inverse of ``str(path)``: parse 'X -> A <-> B <- Y' into a Path."""
-    toks = text.split()
+    toks = text.split() if isinstance(text, str) else ()
     if not toks or len(toks) % 2 == 0:
         raise GraphError(f"malformed path text: {text!r}")
     start = toks[0]
@@ -173,7 +175,7 @@ def path_blocked(graph: Admg, path: Path | Route, given) -> bool:
     given = graph.node_subset(given)
     visits, steps = path.nodes, path.steps
     # a collider has a descendant in ``given`` exactly when it is an ancestor of it
-    open_colliders = ancestors(graph, given)
+    open_colliders = _closure(given, graph._parents.__getitem__)
     for i in range(1, len(visits) - 1):
         collider = steps[i - 1].target_mark == HEAD and steps[i].source_mark == HEAD
         if collider:
@@ -248,7 +250,7 @@ def _view(graph: Admg):
     return lambda v: incident_marks(graph, v), graph._parents.__getitem__
 
 
-def _sweep(graph: Admg, first: frozenset, second: frozenset, given: frozenset, cut_into=frozenset(), view=None):
+def _sweep(view, first: frozenset, second: frozenset, given: frozenset, cut_into=frozenset()):
     """Breadth-first layers of (node, arrived-by-arrowhead) states on walks
     from ``first`` kept open by ``given``, up to the first layer that
     reaches ``second`` (to the end when none does, so an empty last layer
@@ -262,10 +264,11 @@ def _sweep(graph: Admg, first: frozenset, second: frozenset, given: frozenset, c
     Directed edges from ``first`` into ``cut_into`` count as absent: no walk
     re-enters ``first``, so only starts and the open-collider climb meet them.
 
-    A ``view`` (:func:`_view`) sweeps a graph derived from ``graph`` without
-    building it; its nodes may be any hashables, so such a sweep only decides.
+    ``view`` is a graph's :func:`_view`, or the view of a graph derived
+    from it, which is swept without being built; such a view's nodes may be
+    any hashables, so its sweep only decides.
     """
-    edges_at, parents = view or _view(graph)
+    edges_at, parents = view
     open_colliders = _closure(given, lambda v: parents(v) - first if v in cut_into else parents(v))
     layers = [[(a, None) for a in sorted(first)]]
     depth = {state: 0 for state in layers[0]}
@@ -361,6 +364,14 @@ class SepVerdict:
         return f"SepVerdict(separated={self.separated})"
 
 
+def _disjoint_sets(graph: Admg, *sets) -> list[frozenset[str]]:
+    """Each of ``sets`` checked against ``graph``, after refusing any two that overlap."""
+    out = [graph.node_subset(s) for s in sets]
+    if any(a & b for i, a in enumerate(out) for b in out[i + 1:]):
+        raise GraphError("query sets must be pairwise disjoint")
+    return out
+
+
 def d_separated(graph: Admg, first, second, given) -> SepVerdict:
     """Decide whether ``given`` blocks every path between the node sets.
 
@@ -368,17 +379,13 @@ def d_separated(graph: Admg, first, second, given) -> SepVerdict:
     reachability sweep; the witness, when the sets are connected, is the
     least open path under a fixed order, so repeated runs agree exactly.
     """
-    first = graph.node_subset(first)
-    second = graph.node_subset(second)
-    given = graph.node_subset(given)
-    if first & second or first & given or second & given:
-        raise GraphError("query sets must be pairwise disjoint")
-    return _decide(graph, first, second, given)
+    first, second, given = _disjoint_sets(graph, first, second, given)
+    return _decide(_view(graph), first, second, given)
 
 
-def _decide(graph: Admg, first, second, given, cut_into=frozenset(), view=None) -> SepVerdict:
-    """:func:`d_separated` on sets the caller checked, cut and viewed as in :func:`_sweep`."""
-    return SepVerdict(*_sweep(graph, first, second, given, cut_into, view), second)
+def _decide(view, first, second, given, cut_into=frozenset()) -> SepVerdict:
+    """:func:`d_separated` on sets the caller checked, swept and cut as in :func:`_sweep`."""
+    return SepVerdict(*_sweep(view, first, second, given, cut_into), second)
 
 
 def d_connected_nodes(graph: Admg, sources, given) -> frozenset[str]:
@@ -386,11 +393,8 @@ def d_connected_nodes(graph: Admg, sources, given) -> frozenset[str]:
 
     Members of ``sources`` count as connected to themselves.
     """
-    sources = graph.node_subset(sources)
-    given = graph.node_subset(given)
-    if sources & given:
-        raise GraphError("query sets must be pairwise disjoint")
-    layers, _ = _sweep(graph, sources, frozenset(), given)
+    sources, given = _disjoint_sets(graph, sources, given)
+    layers, _ = _sweep(_view(graph), sources, frozenset(), given)
     return frozenset(v for layer in layers for v, _ in layer)
 
 
@@ -426,9 +430,6 @@ def find_inducing_path(graph: Admg, first, second) -> Path | None:
     arrowhead and can only go on along directed edges to non-ancestors, so
     it never reaches ``second``.
     """
-    first = graph.node_subset(first)
-    second = graph.node_subset(second)
-    if first & second:
-        raise GraphError("query sets must be pairwise disjoint")
-    given = ancestors(graph, first | second) - first - second
-    return _least_path(*_sweep(graph, first, second, given), second)
+    first, second = _disjoint_sets(graph, first, second)
+    given = _closure(first | second, graph._parents.__getitem__) - first - second
+    return _least_path(*_sweep(_view(graph), first, second, given), second)

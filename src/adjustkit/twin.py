@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import separation
-from .graph import HEAD, TAIL, Admg, _closure, _fresh, _splice_latents, descendants
+from .graph import HEAD, TAIL, Admg, _closure, _fresh, _splice_latents
 
 __all__ = ["TwinGraph", "graphical_ignorability", "noise_linked", "twin_network"]
 
@@ -44,7 +44,7 @@ def twin_network(graph: Admg, treatments) -> TwinGraph:
     treatment copy: the ``@do`` copies of the treatments are parentless.
     """
     treatments = graph.node_subset(treatments)
-    affected = descendants(graph, treatments)
+    affected = _closure(treatments, graph._children.__getitem__)
     taken = set(graph.nodes)
     copy_of = {}
     for v in graph.nodes:
@@ -54,7 +54,7 @@ def twin_network(graph: Admg, treatments) -> TwinGraph:
         else:
             copy_of[v] = v
     redrawn = affected - treatments  # copies that keep their parents
-    directed = {(copy_of[a], copy_of[b]) for b in redrawn for a in graph.parents(b)}
+    directed = {(copy_of[a], copy_of[b]) for b in redrawn for a in graph._parents[b]}
     latents, edges = _splice_latents(graph, "__U", taken)
     directed |= edges
     directed |= {(u, copy_of[end]) for u, end in edges if end in redrawn}
@@ -127,4 +127,4 @@ def graphical_ignorability(graph: Admg, query) -> bool:
     affected = _closure(x, graph._children.__getitem__)
     x0, z0 = (frozenset((v, 0) for v in s) for s in (x, z))
     y1 = frozenset((v, int(v in affected)) for v in y)  # the outcomes' @do copies, where they exist
-    return separation._decide(graph, x0, y1, z0, frozenset(), _twin_view(graph, x, affected)).separated
+    return separation._decide(_twin_view(graph, x, affected), x0, y1, z0).separated

@@ -560,3 +560,27 @@ class TestConsoleScript:
             proc = run_python("-m", module, *adjust_query(FIG1B))
             assert proc.returncode == 0, (module, proc.stderr)
             assert json.loads(proc.stdout)["holds"] is True
+
+
+# Run in a fresh interpreter where the test-only packages cannot be imported.
+NUMPY_ONLY = """
+import runpy
+import sys
+
+for name in ("networkx", "scipy", "hypothesis"):
+    sys.modules[name] = None  # an import of it now raises ImportError
+import adjustkit
+
+graph = adjustkit.parse_graph(open(sys.argv[1]).read())
+query = adjustkit.AdjustmentQuery(frozenset({"X"}), frozenset({"Y"}), frozenset({"Z"}))
+assert adjustkit.adjustment_criterion(graph, query).holds
+assert adjustkit.verify_soundness(graph, query, trials=1).passed
+sys.argv = ["adjustkit", "check-adjust", "--graph", sys.argv[1], "-X", "X", "-Y", "Y", "-Z", "Z", "--json"]
+runpy.run_module("adjustkit", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    proc = run_python("-c", NUMPY_ONLY, FIG1A)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["holds"] is True

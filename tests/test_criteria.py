@@ -1,7 +1,9 @@
 """Back-door and adjustment criteria, set construction, magnification."""
 
 import random
+import re
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -22,6 +24,7 @@ from adjustkit import (
     descendants,
     enumerate_adjustment_sets,
     exists_adjustment_set,
+    find_inducing_path,
     graphical_ignorability,
     helper_conditioning_set,
     latent_project,
@@ -35,6 +38,7 @@ from adjustkit import (
     verdict_from_json,
     verdict_to_json,
 )
+from adjustkit import criteria, graph, separation, twin
 from adjustkit.cli import run
 from adjustkit.criteria import _magnified_view
 from adjustkit.graph import HEAD, Admg, incident_marks
@@ -279,6 +283,56 @@ class TestSweepCut:
         edits.clear()
         proper_backdoor_graph(g, {"X"}, {"Y"})
         assert edits == [1]  # the counter sees the transform's copy
+
+
+class TestCheckedOnce:
+    """Each entry point checks its sets once.  Beneath that check the
+    verdicts, set procedures and sweeps read the adjacency tables: they call
+    no checking helper, and each ``incident_marks`` call checks its one node."""
+
+    CHECKING = ("ancestors", "descendants", "proper_causal_nodes")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("node_subset", "_require", "parents", "children", "spouses"):
+            monkeypatch.setattr(Admg, name, counted(name, getattr(Admg, name)))
+        for module in (graph, separation, criteria, twin):
+            for name in (*self.CHECKING, "incident_marks"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        return calls
+
+    def test_no_set_is_checked_twice(self, calls):
+        for g in all_mixed_graphs(3):
+            for query in all_queries(g):
+                x, y, z = query.treatments, query.outcomes, query.covariates
+                # (entry point, its node_subset calls, the nodes those check)
+                entries = [
+                    (lambda: adjustment_criterion(g, query), 1, x | y | z),
+                    (lambda: backdoor_criterion(g, query), 1, x | y | z),
+                    (lambda: graphical_ignorability(g, query), 1, x | y | z),
+                    (lambda: magnification_check(g, query), 1, x | y | z),
+                    (lambda: canonical_adjustment_set(g, x, y), 1, x | y),
+                    (lambda: exists_adjustment_set(g, x, y), 1, x | y),
+                    (lambda: enumerate_adjustment_sets(g, x, y, limit=4), 1, x | y),
+                    (lambda: helper_conditioning_set(g, x, y, z), 3, x | y | z),
+                    (lambda: find_inducing_path(g, x, y), 2, x | y),
+                    (lambda: d_separated(g, x, y, z), 3, x | y | z),
+                ]
+                for i, (entry, subsets, checked) in enumerate(entries):
+                    calls.clear()
+                    entry()
+                    lookups = calls.pop("incident_marks", 0)
+                    want = {"node_subset": subsets, "_require": len(checked) + lookups}
+                    assert calls == {k: v for k, v in want.items() if v}, (g, query, i)
 
 
 class TestStripToBackdoor:
@@ -627,6 +681,28 @@ class TestVerdictJson:
                     "failure": {"kind": "mystery"},
                 }
             )
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"criterion": "adjustment"}, "verdict document lacks the key 'holds'"),
+            ({"holds": True}, "verdict document lacks the key 'criterion'"),
+            (["adjustment", True], "verdict document must be a JSON object, not list"),
+            ({"criterion": "backdoor", "holds": False, "failure": "open"},
+             "failure document must be a JSON object, not str"),
+            ({"criterion": "backdoor", "holds": False, "failure": {"path": "X <- Z -> Y"}},
+             "failure document lacks the key 'kind'"),
+            ({"criterion": "backdoor", "holds": False, "failure": {"kind": "open_backdoor_path"}},
+             "open_backdoor_path failure document lacks the key 'path'"),
+            ({"criterion": "backdoor", "holds": False, "failure": {"kind": "open_backdoor_path", "path": 5}},
+             "malformed path text: 5"),
+            ({"criterion": "adjustment", "holds": False, "failure": {"kind": "forbidden_descendant", "offender": "Z"}},
+             "forbidden_descendant failure document lacks the key 'causal_node'"),
+        ],
+    )
+    def test_malformed_document_raises_value_error(self, doc, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verdict_from_json(doc)
 
     def test_accepts_serialized_string(self, fig1b):
         import json

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 import time
 import tracemalloc
 from itertools import combinations, product
@@ -111,6 +112,25 @@ class TestDist:
         for value in (-1, 2):
             with pytest.raises(ValueError, match="out of domain for A"):
                 d.cell({"A": value, "B": 0})
+
+    def test_values_must_be_integers(self, fig1a):
+        """A float or a bool is not a state: ``slice_at`` used to cut at the
+        truncated index, and the oracle raised ``IndexError`` or a shape error."""
+        scm = random_scm(fig1a, seed=0)
+        joint = joint_observed(scm)
+        calls = {
+            "slice_at": lambda v: joint.slice_at({"X": v}),
+            "cell": lambda v: joint.cell({"X": v, "Y": 0, "Z": 0}),
+            "interventional": lambda v: interventional(scm, {"X": v}, {"Y"}),
+            "estimand": lambda v: adjustment_estimand(joint, {"X": v}, {"Y"}, {"Z"}),
+            "counterfactual": lambda v: counterfactual_joint(scm, [("Y", {"X": v})]),
+        }
+        for name, call in calls.items():
+            for value in (0.5, 1.0, 1.9, True, np.float64(1.0), np.bool_(True), "1"):
+                with pytest.raises(ValueError, match=f"^value {re.escape(repr(value))} for X is not an integer$"):
+                    call(value)
+            assert call(np.int64(1)) is not None, name
+        assert joint.slice_at({"X": np.int64(1)}).max_abs_diff(joint.slice_at({"X": 1})) == 0.0
 
     def test_comparisons_need_matching_variables(self):
         d = Dist(("A",), (2,), np.array([0.5, 0.5]))
@@ -643,6 +663,29 @@ class TestSerialization:
         # Python's json writes and reads NaN, so such a document can arrive
         with pytest.raises(ValueError, match="non-finite"):
             scm_from_json(json.loads(json.dumps(doc)))
+
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"nodes": ["A"]}, "model document lacks the key 'latents'"),
+            ([], "model document must be a JSON object, not list"),
+            ({"nodes": ["A"], "latents": [], "domains": {}, "parents": {"A": []}, "cpt": {"A": [1.0]}},
+             "domains lacks the key 'A'"),
+            ({"nodes": ["A"], "latents": [], "domains": {"A": 1}, "parents": [], "cpt": {"A": [1.0]}},
+             "parents must be a JSON object, not list"),
+        ],
+    )
+    def test_malformed_document_raises_value_error(self, doc, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scm_from_json(doc)
+
+    def test_node_list_as_a_string_is_refused(self, fig1a):
+        """``"AB"`` would read as the nodes A and B, as everywhere in the package."""
+        doc = scm_to_json(random_scm(fig1a, seed=0))
+        doc["nodes"] = "".join(doc["nodes"])
+        with pytest.raises(TypeError, match="not the string"):
+            scm_from_json(doc)
 
 
 class TestIndependenceGap:
