@@ -102,18 +102,11 @@ class Dist:
 
     def slice_at(self, assignment: Mapping[str, int]) -> "Dist":
         """Unnormalized slice: fix some variables, keep the rest's axes."""
-        arr = self.probs
-        names = list(self.names)
-        sizes = list(self.sizes)
-        _check_values(names, sizes, assignment)
-        for v in sorted(assignment, key=names.index, reverse=True):
-            i = names.index(v)
-            arr = np.take(arr, assignment[v], axis=i)
-            del names[i], sizes[i]
+        _check_values(self.names, self.sizes, assignment)
         out = Dist.__new__(Dist)
-        out.names = tuple(names)
-        out.sizes = tuple(sizes)
-        out.probs = arr
+        out.names = tuple(n for n in self.names if n not in assignment)
+        out.probs = self.probs[tuple(assignment.get(n, slice(None)) for n in self.names)].copy()
+        out.sizes = out.probs.shape
         return out
 
     def cell(self, assignment: Mapping[str, int]) -> float:
@@ -190,17 +183,35 @@ class DiscreteScm:
 
 
 @lru_cache(maxsize=32)
-def _model_cache(graph: Admg) -> tuple[Admg, tuple[str, ...], dict]:
-    """The expanded DAG and latents of ``graph``, and the models drawn on it
-    so far keyed by (seed, domain_size, positivity_eps).
-
-    Oracle sweeps draw the same seeds for every query on a graph, so models
-    are kept per graph, for the 32 graphs used last.  A model whose joints
-    have more than ``_KEPT_JOINT_CELLS`` cells is not kept here: it lives as
-    long as its caller holds it, and keeps every joint it computes.
-    """
+def _expanded(graph: Admg) -> tuple[Admg, tuple[str, ...]]:
+    """The expanded DAG of ``graph`` and its latents, kept for the 32 graphs used last."""
     dag, mapping = expand_bidirected(graph)
-    return dag, tuple(sorted(mapping.values())), {}
+    return dag, tuple(sorted(mapping.values()))
+
+
+def _draw(graph: Admg, seed: int, domain_size: int, positivity_eps: float) -> DiscreteScm:
+    """The model :func:`random_scm` describes, drawn afresh; ``_kept`` keeps the 512 drawn last."""
+    dag, latents = _expanded(graph)
+    rng = np.random.default_rng(seed)
+    cpts: dict[str, np.ndarray] = {}
+    for v in dag.nodes:
+        rows = (domain_size,) * len(dag._parents[v])
+        _guard(math.prod(rows) * domain_size)
+        cpts[v] = positivity_eps + (1.0 - domain_size * positivity_eps) * rng.dirichlet(np.ones(domain_size), rows)
+    return DiscreteScm(graph, dag, dict.fromkeys(dag.nodes, domain_size), cpts, latents, seed=seed)
+
+
+# 512 models hit as often as an unbounded table on oracle sweeps, which draw
+# the same 20 or 200 seeds for every query of a graph: at most 64 MB of joints
+_kept = lru_cache(maxsize=512)(_draw)
+
+
+def _integers(**values) -> list[int]:
+    """``values`` as ints, refusing any that is not an integer; a ``bool`` is no integer here."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"value {value!r} for {name} is not an integer")
+    return [int(value) for value in values.values()]
 
 
 def random_scm(graph: Admg, seed: int, domain_size: int = 2, positivity_eps: float = 0.05) -> DiscreteScm:
@@ -209,31 +220,18 @@ def random_scm(graph: Admg, seed: int, domain_size: int = 2, positivity_eps: flo
     Every node (latents included) gets ``domain_size`` states; each CPT row
     is uniform on the simplex shrunk so that all entries are at least
     ``positivity_eps``, which keeps every joint configuration possible.
-    Models are read-only, and calls with equal arguments may share one.
+    Models are read-only, and calls with equal arguments may share one: the
+    512 models asked for last whose joints have at most ``_KEPT_JOINT_CELLS``
+    cells are kept, and a larger one is drawn afresh for every call.
     """
-    seed, domain_size, positivity_eps = int(seed), int(domain_size), float(positivity_eps)
+    seed, domain_size = _integers(seed=seed, domain_size=domain_size)
+    positivity_eps = float(positivity_eps)
     if domain_size < 2:
         raise ValueError("domain_size must be at least 2")
     if not 0.0 <= positivity_eps < 1.0 / domain_size:
         raise ValueError("positivity_eps must lie in [0, 1/domain_size)")
-    dag, latents, models = _model_cache(graph)
-    key = (seed, domain_size, positivity_eps)
-    if key in models:
-        return models[key]
-    domains = {v: domain_size for v in dag.nodes}
-    rng = np.random.default_rng(seed)
-    cpts: dict[str, np.ndarray] = {}
-    for v in dag.nodes:
-        parents = sorted(dag.parents(v))
-        rows = int(np.prod([domains[p] for p in parents])) if parents else 1
-        table = rng.dirichlet(np.ones(domain_size), size=rows)
-        table = positivity_eps + (1.0 - domain_size * positivity_eps) * table
-        shape = tuple(domains[p] for p in parents) + (domain_size,)
-        cpts[v] = table.reshape(shape)
-    scm = DiscreteScm(graph, dag, domains, cpts, latents, seed=seed)
-    if domain_size ** len(graph.nodes) <= _KEPT_JOINT_CELLS:
-        models[key] = scm
-    return scm
+    kept = domain_size ** len(graph.nodes) <= _KEPT_JOINT_CELLS
+    return (_kept if kept else _draw)(graph, seed, domain_size, positivity_eps)
 
 
 def _guard(cells: int):
@@ -248,8 +246,8 @@ def _post_joint(scm: DiscreteScm, treatments) -> tuple[tuple[str, ...], np.ndarr
     observed node (name-sorted, treatments included) with the latents summed
     out; its slice at each x sums to one.  Read-only.  A model whose joints
     have at most ``_KEPT_JOINT_CELLS`` cells (one :func:`random_scm` keeps)
-    holds its observational joint and interventional ones while their cells
-    total at most that, dropping the oldest first; a larger one holds all.
+    holds its observational joint and at most that many cells of interventional
+    ones, oldest dropped first (128 kB at 13 binary nodes); a larger one holds all.
     """
     treatments = tuple(sorted(treatments))
     key = ("post", treatments)
@@ -290,13 +288,12 @@ def _marginal(names, probs: np.ndarray, keep) -> np.ndarray:
 
 
 def _check_values(names, sizes, x: Mapping[str, int]):
-    """Refuse unknown variables and values outside their integer domains; a ``bool`` is no integer here."""
+    """Refuse unknown variables and values outside their integer domains."""
     unknown = [v for v in x if v not in names]
     if unknown:
         raise ValueError(f"variables not in distribution: {sorted(unknown)}")
+    _integers(**x)
     for v, val in x.items():
-        if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
-            raise ValueError(f"value {val!r} for {v} is not an integer")
         if not 0 <= val < sizes[names.index(v)]:
             raise ValueError(f"value {val} out of domain for {v}")
 
@@ -510,14 +507,16 @@ class SoundnessReport:
         return asdict(self)
 
 
-def _gaps(scm: DiscreteScm, query: AdjustmentQuery) -> np.ndarray:
-    """|estimand - truth| on one model, with one row per treatment value x
-    in product order over the name-sorted treatments."""
+def _trials(graph: Admg, query: AdjustmentQuery, trials: int, seed: int, domain_size: int, positivity_eps: float):
+    """Per trial, the model seed ``seed + trial``, the model and |estimand - truth| on it,
+    one row per treatment value x in product order over the name-sorted treatments."""
     xs, ys, zs = (sorted(s) for s in (query.treatments, query.outcomes, query.covariates))
-    estimate = _estimand(*_post_joint(scm, ()), xs, ys, zs)
-    names, post = _post_joint(scm, xs)
-    gaps = np.abs(estimate - _marginal(names, post, xs + ys))
-    return gaps.reshape(math.prod(gaps.shape[: len(xs)]), -1)
+    for model_seed in range(seed, seed + trials):
+        scm = random_scm(graph, model_seed, domain_size, positivity_eps)
+        estimate = _estimand(*_post_joint(scm, ()), xs, ys, zs)
+        names, post = _post_joint(scm, xs)
+        gaps = np.abs(estimate - _marginal(names, post, xs + ys))
+        yield model_seed, scm, gaps.reshape(math.prod(gaps.shape[: len(xs)]), -1)
 
 
 def _x_at(scm: DiscreteScm, treatments, row: int) -> dict[str, int]:
@@ -542,16 +541,16 @@ def search_counterexample(
     otherwise.  Trial ``i`` uses model seed ``seed + i``, so reported
     witnesses are reproducible.
     """
+    trials, seed, domain_size = _integers(trials=trials, seed=seed, domain_size=domain_size)
     if trials < 1 or not delta >= 0:
         raise ValueError("trials must be at least 1 and delta non-negative")
     if adjustment_criterion(graph, query).holds:
         raise ValueError("the adjustment criterion holds; there is no counterexample to search for")
-    for trial in range(trials):
-        scm = random_scm(graph, seed + trial, domain_size, positivity_eps)
-        tv = 0.5 * _gaps(scm, query).sum(axis=1)
+    for trial, (model_seed, scm, gaps) in enumerate(_trials(graph, query, trials, seed, domain_size, positivity_eps)):
+        tv = 0.5 * gaps.sum(axis=1)
         worst = int(tv.argmax())  # the first of equal gaps, as a strict scan keeps
         if tv[worst] > delta:
-            return Counterexample(scm, float(tv[worst]), _x_at(scm, query.treatments, worst), trial, seed + trial)
+            return Counterexample(scm, float(tv[worst]), _x_at(scm, query.treatments, worst), trial, model_seed)
     return None
 
 
@@ -567,20 +566,20 @@ def verify_soundness(
     """Check that the adjustment functional matches ground truth cell by cell
     on ``trials`` random models.  Refuses queries the criterion rejects.
     """
+    trials, seed, domain_size = _integers(trials=trials, seed=seed, domain_size=domain_size)
     if trials < 1 or not tol >= 0:
         raise ValueError("trials must be at least 1 and tol non-negative")
     if not adjustment_criterion(graph, query).holds:
         raise ValueError("the adjustment criterion fails; soundness verification is undefined")
     max_gap, worst_seed, worst_x = 0.0, None, None
     failures: list[dict] = []
-    for trial in range(trials):
-        scm = random_scm(graph, seed + trial, domain_size, positivity_eps)
-        gaps = _gaps(scm, query).max(axis=1)
+    for model_seed, scm, gaps in _trials(graph, query, trials, seed, domain_size, positivity_eps):
+        gaps = gaps.max(axis=1)
         worst = int(gaps.argmax())  # the first of equal gaps, as a strict scan keeps
         if gaps[worst] > max_gap:
-            max_gap, worst_seed, worst_x = float(gaps[worst]), seed + trial, _x_at(scm, query.treatments, worst)
+            max_gap, worst_seed, worst_x = float(gaps[worst]), model_seed, _x_at(scm, query.treatments, worst)
         for row in np.flatnonzero(gaps > tol):
-            failures.append({"seed": seed + trial, "x": _x_at(scm, query.treatments, row), "gap": float(gaps[row])})
+            failures.append({"seed": model_seed, "x": _x_at(scm, query.treatments, row), "gap": float(gaps[row])})
     return SoundnessReport(not failures, trials, max_gap, worst_seed, worst_x, failures)
 
 

@@ -580,6 +580,26 @@ runpy.run_module("adjustkit", run_name="__main__", alter_sys=True)
 """
 
 
+PEAK_RSS = """
+import resource, sys
+from adjustkit.cli import run
+code = run(["verify", "--graph", sys.argv[1], "-X", "M0", "-Y", "M12", "--trials", "3000"])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_verify_peak_memory_is_bounded(tmp_path):
+    # each 13-node binary model keeps 128 kB of joints; the model table
+    # keeps a bounded number of them, where an unbounded one reached 426 MB
+    chain = tmp_path / "chain13.g"
+    chain.write_text("\n".join(f"M{i} -> M{i + 1}" for i in range(12)) + "\n")
+    proc = run_python("-c", PEAK_RSS, str(chain))
+    assert proc.returncode == 0, proc.stderr
+    code, maxrss_kb = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert int(maxrss_kb) < 160 * 1024
+
+
 def test_numpy_is_the_only_runtime_dependency():
     proc = run_python("-c", NUMPY_ONLY, FIG1A)
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Discrete structural models: exact joints, interventions, counterfactuals."""
 
 import dataclasses
+import gc
 import random
 import re
 import time
@@ -191,6 +192,38 @@ class TestRandomScm:
             random_scm(fig1a, seed=0, domain_size=1)
 
 
+    def test_integer_arguments_are_not_truncated(self, fig1a):
+        """A float or a bool is not a seed, a domain size or a trial count:
+        ``random_scm(g, 1.7)`` used to be the seed-1 model, a 2.9 domain drew
+        binary tables, and reports gave back a seed of 0.5 or ``trials: True``."""
+        holding, failing = q({"X"}, {"Y"}, {"Z"}), q({"X"}, {"Y"})
+        calls = {
+            "seed": lambda v: random_scm(fig1a, v),
+            "domain_size": lambda v: random_scm(fig1a, 0, v),
+            "verify trials": lambda v: verify_soundness(fig1a, holding, trials=v),
+            "verify seed": lambda v: verify_soundness(fig1a, holding, trials=2, seed=v),
+            "verify domain_size": lambda v: verify_soundness(fig1a, holding, trials=2, domain_size=v),
+            "refute trials": lambda v: search_counterexample(fig1a, failing, trials=v),
+            "refute seed": lambda v: search_counterexample(fig1a, failing, trials=2, seed=v),
+            "refute domain_size": lambda v: search_counterexample(fig1a, failing, trials=2, domain_size=v),
+        }
+        for name, call in calls.items():
+            for value in (0.5, 1.7, 2.0, 2.9, True, np.float64(2.0), np.bool_(True), "2"):
+                with pytest.raises(ValueError, match=f"^value {re.escape(repr(value))} for .* is not an integer$"):
+                    call(value)
+            call(np.int64(2))
+        assert random_scm(fig1a, np.int64(3)) is random_scm(fig1a, 3)
+        assert type(random_scm(fig1a, np.int64(3)).seed) is int
+        report = verify_soundness(fig1a, holding, trials=np.int64(2), seed=np.int64(1))
+        assert report.to_json() == verify_soundness(fig1a, holding, trials=2, seed=1).to_json()
+
+    def test_state_space_guard_covers_each_drawn_table(self):
+        # D's table has 33^4 = 1,185,921 cells, past the limit, though no joint is asked for
+        graph = graph_from_edges([("A", "D"), ("B", "D"), ("C", "D")])
+        with pytest.raises(StateSpaceError):
+            random_scm(graph, seed=0, domain_size=33, positivity_eps=0.0)
+        assert random_scm(graph, seed=0, domain_size=31, positivity_eps=0.0).cpts["D"].size == 31**4
+
     def test_models_are_read_only(self):
         # random_scm hands every caller the same model for equal arguments,
         # so no caller may change it.
@@ -319,6 +352,48 @@ class TestJointObserved:
             posts.setdefault(v, scm._cache[("post", (v,))])
             assert scm._cache[("post", (v,))] is posts[v]
         assert all(scm._cache[("post", (v,))] is post for v, post in posts.items())
+
+
+class TestModelTable:
+    """``random_scm`` keeps the models it drew last in one bounded table."""
+
+    def test_kept_memory_does_not_grow_with_trials(self, fig1a):
+        # each fig1a model with its joints is about 2.4 kB; a table without a
+        # bound kept all of them, so the second sweep's models added 1.2 MB
+        query = q({"X"}, {"Y"}, {"Z"})
+        size = scm_module._kept.cache_info().maxsize
+        tracemalloc.start()
+        try:
+            verify_soundness(fig1a, query, trials=size, seed=10**6)
+            gc.collect()
+            first = tracemalloc.get_traced_memory()[0]
+            verify_soundness(fig1a, query, trials=size, seed=10**6 + size)
+            gc.collect()
+            second = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert second - first < 100 * 2**10
+
+    def test_an_evicted_model_is_drawn_again_the_same(self, fig1a):
+        seed = 2 * 10**6
+        scm = random_scm(fig1a, seed)
+        assert random_scm(fig1a, seed) is scm
+        for other in range(seed + 1, seed + 1 + scm_module._kept.cache_info().maxsize):
+            random_scm(fig1a, other)
+        again = random_scm(fig1a, seed)
+        assert again is not scm
+        assert again.expanded_dag is scm.expanded_dag
+        for v in scm.expanded_dag.nodes:
+            assert np.array_equal(again.cpts[v], scm.cpts[v])
+
+    def test_repeated_sweeps_draw_each_seed_once(self):
+        # oracle sweeps ask for the same 20 seeds on every query of a graph; a
+        # table smaller than that cycle would draw every model on every query
+        graph = graph_from_edges([("Ta", "Tx"), ("Ta", "Ty"), ("Tx", "Ty")])
+        drawn = scm_module._kept.cache_info().misses
+        for _ in range(5):
+            verify_soundness(graph, q({"Tx"}, {"Ty"}, {"Ta"}), trials=20, seed=0)
+        assert scm_module._kept.cache_info().misses - drawn == 20
 
 
 class TestInterventional:
