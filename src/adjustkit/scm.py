@@ -13,6 +13,14 @@ parent-value row, so worlds that agree on a node's parents agree on the
 node.  That pins cross-world behavior to one concrete model among the many
 consistent with the conditional probability tables; the joint is computed
 on a broadcast grid over the latent and free values.
+
+``verify_soundness`` and ``search_counterexample`` evaluate their trials in
+blocks: the tables of a block's models are stacked on a leading axis, and
+one product, one estimand and one comparison serve the whole block.  A
+block holds at most ``_KEPT_JOINT_CELLS`` cells of joints (one trial when
+a single model's joint is larger).  Verification takes the largest blocks
+that fit; the counterexample search, which stops at its first find, starts
+with one trial and doubles the block each time.
 """
 
 from __future__ import annotations
@@ -214,6 +222,14 @@ def _integers(**values) -> list[int]:
     return [int(value) for value in values.values()]
 
 
+def _reals(**values) -> list[float]:
+    """``values`` as floats, refusing any that is not a real number; a ``bool`` or a ``str`` is none here."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"value {value!r} for {name} is not a real number")
+    return [float(value) for value in values.values()]
+
+
 def random_scm(graph: Admg, seed: int, domain_size: int = 2, positivity_eps: float = 0.05) -> DiscreteScm:
     """Draw a random model over the graph, deterministically from the seed.
 
@@ -225,7 +241,7 @@ def random_scm(graph: Admg, seed: int, domain_size: int = 2, positivity_eps: flo
     cells are kept, and a larger one is drawn afresh for every call.
     """
     seed, domain_size = _integers(seed=seed, domain_size=domain_size)
-    positivity_eps = float(positivity_eps)
+    (positivity_eps,) = _reals(positivity_eps=positivity_eps)
     if domain_size < 2:
         raise ValueError("domain_size must be at least 2")
     if not 0.0 <= positivity_eps < 1.0 / domain_size:
@@ -239,15 +255,50 @@ def _guard(cells: int):
         raise StateSpaceError(f"state space of {cells} cells exceeds the limit of {STATE_SPACE_LIMIT}")
 
 
-def _post_joint(scm: DiscreteScm, treatments) -> tuple[tuple[str, ...], np.ndarray]:
-    """P(observed nodes | do(X = x)) for every treatment value x at once.
+def _stack(models) -> dict[str, np.ndarray]:
+    """Each node's table of every model in ``models``, stacked on a leading axis."""
+    return {v: np.array([m.cpts[v] for m in models]) for v in models[0].cpts}
 
-    The product of every table except the treatments' keeps one axis per
+
+def _product(models, tables: Mapping[str, np.ndarray], treatments) -> tuple[tuple[str, ...], np.ndarray]:
+    """P(observed nodes | do(X = x)) for every treatment value x, for each of ``models`` at once.
+
+    ``tables`` is ``_stack(models)``; the models share one expanded DAG and
+    its domains.  The product of every table except the treatments', taken
+    in name order, keeps a leading axis over the models and one axis per
     observed node (name-sorted, treatments included) with the latents summed
-    out; its slice at each x sums to one.  Read-only.  A model whose joints
-    have at most ``_KEPT_JOINT_CELLS`` cells (one :func:`random_scm` keeps)
-    holds its observational joint and at most that many cells of interventional
-    ones, oldest dropped first (128 kB at 13 binary nodes); a larger one holds all.
+    out; each model's slice at each x sums to one, and rounds as it does in
+    a product of that model alone.
+    """
+    scm = models[0]
+    names = sorted(scm.domains)
+    pos = {n: i + 1 for i, n in enumerate(names)}
+    _guard(math.prod(scm.domains.values()))
+    acc = np.ones([len(models)] + [scm.domains[n] for n in names])
+    for v in names:
+        if v in treatments:
+            continue
+        axes = scm.parent_list(v) + [v]
+        order = [0] + sorted(range(1, len(axes) + 1), key=lambda i: pos[axes[i - 1]])
+        shape = [len(models)] + [1] * len(names)
+        for n in axes:
+            shape[pos[n]] = scm.domains[n]
+        acc = acc * np.transpose(tables[v], order).reshape(shape)
+    acc = acc.sum(axis=tuple(pos[u] for u in scm.latents))
+    observed = tuple(n for n in names if n not in scm.latents)
+    return observed, acc / acc.sum(axis=tuple(i + 1 for i, n in enumerate(observed) if n not in treatments), keepdims=True)
+
+
+def _post_joint(scm: DiscreteScm, treatments) -> tuple[tuple[str, ...], np.ndarray]:
+    """P(observed nodes | do(X = x)) for every treatment value x at once:
+    ``_product`` of the one model, kept on it for :func:`joint_observed` and
+    :func:`interventional` (the trial loop stacks its models and keeps nothing).
+
+    One axis per observed node (name-sorted, treatments included); the slice
+    at each x sums to one.  Read-only.  A model whose joints have at most
+    ``_KEPT_JOINT_CELLS`` cells (one :func:`random_scm` keeps) holds its
+    observational joint and at most that many cells of interventional ones,
+    oldest dropped first (128 kB at 13 binary nodes); a larger one holds all.
     """
     treatments = tuple(sorted(treatments))
     key = ("post", treatments)
@@ -255,22 +306,8 @@ def _post_joint(scm: DiscreteScm, treatments) -> tuple[tuple[str, ...], np.ndarr
         for v in treatments:
             if v not in scm.observed:
                 raise ValueError(f"cannot intervene on {v}: not an observed node")
-        names = sorted(scm.domains)
-        pos = {n: i for i, n in enumerate(names)}
-        _guard(math.prod(scm.domains.values()))
-        acc = np.ones([scm.domains[n] for n in names])
-        for v in names:
-            if v in treatments:
-                continue
-            axes = scm.parent_list(v) + [v]
-            order = sorted(range(len(axes)), key=lambda i: pos[axes[i]])
-            shape = [1] * len(names)
-            for n in axes:
-                shape[pos[n]] = scm.domains[n]
-            acc = acc * np.transpose(scm.cpts[v], order).reshape(shape)
-        acc = acc.sum(axis=tuple(pos[u] for u in scm.latents))
-        observed = tuple(n for n in names if n not in scm.latents)
-        acc = acc / acc.sum(axis=tuple(i for i, n in enumerate(observed) if n not in treatments), keepdims=True)
+        observed, acc = _product([scm], _stack([scm]), treatments)
+        acc = acc[0]
         acc.flags.writeable = False
         if treatments and acc.size <= _KEPT_JOINT_CELLS:
             held = [k for k in scm._cache if k[1]]
@@ -281,10 +318,12 @@ def _post_joint(scm: DiscreteScm, treatments) -> tuple[tuple[str, ...], np.ndarr
 
 
 def _marginal(names, probs: np.ndarray, keep) -> np.ndarray:
-    """``probs`` summed over the axes not in ``keep``, axes in the order of ``keep``."""
+    """``probs`` summed over the axes not in ``keep``, axes in the order of ``keep``;
+    axes before those of ``names`` (a stack of models) stay in front."""
+    lead = probs.ndim - len(names)
     rest = [n for n in names if n in keep]
-    summed = probs.sum(axis=tuple(i for i, n in enumerate(names) if n not in keep))
-    return np.transpose(summed, [rest.index(n) for n in keep])
+    summed = probs.sum(axis=tuple(lead + i for i, n in enumerate(names) if n not in keep))
+    return np.transpose(summed, [*range(lead), *(lead + rest.index(n) for n in keep)])
 
 
 def _check_values(names, sizes, x: Mapping[str, int]):
@@ -329,18 +368,21 @@ def interventional(scm: DiscreteScm, x: Mapping[str, int], outcomes) -> Dist:
 def _estimand(names, joint: np.ndarray, xs, ys, zs, at=None) -> np.ndarray:
     """The adjustment functional sum_z P(y | x, z) P(z) over axes xs + ys,
     for every treatment value x at once, or with ``at`` (one value per
-    treatment) for that x alone on length-one treatment axes.
+    treatment) for that x alone on length-one treatment axes.  A joint with
+    a leading axis over a stack of models gives the functional of each.
 
     Covariate cells with P(z) = 0 are skipped; a cell with P(z) > 0 but
     P(x, z) = 0 raises :class:`PositivityError` naming the first such cell
-    of the first such x in product order.
+    of the first such x in product order, of the first such model.
     """
-    nx, nxy = len(xs), len(xs) + len(ys)
+    lead = joint.ndim - len(names)
+    nx, nxy = lead + len(xs), lead + len(xs) + len(ys)
     pxyz = _marginal(names, joint, xs + ys + zs)
-    pz = pxyz.sum(axis=tuple(range(nxy)))
+    pz = pxyz.sum(axis=tuple(range(lead, nxy)))
     if at is not None:
-        pxyz = pxyz[tuple(slice(v, v + 1) for v in at)]
+        pxyz = pxyz[(slice(None),) * lead + tuple(slice(v, v + 1) for v in at)]
     pxz = pxyz.sum(axis=tuple(range(nx, nxy)))
+    pz = pz.reshape(pz.shape[:lead] + (1,) * len(xs) + pz.shape[lead:])
     bad = (pz > 0) & (pxz <= 0)
     if bad.any():
         raise PositivityError(dict(zip(zs, np.argwhere(bad)[0][nx:].tolist())))
@@ -507,16 +549,43 @@ class SoundnessReport:
         return asdict(self)
 
 
-def _trials(graph: Admg, query: AdjustmentQuery, trials: int, seed: int, domain_size: int, positivity_eps: float):
-    """Per trial, the model seed ``seed + trial``, the model and |estimand - truth| on it,
-    one row per treatment value x in product order over the name-sorted treatments."""
+def _block(models, xs, ys, zs) -> np.ndarray:
+    """|estimand - truth| on each of ``models``: one row per treatment value x
+    in product order over the name-sorted treatments ``xs``, per model."""
+    tables = _stack(models)
+    estimate = _estimand(*_product(models, tables, ()), xs, ys, zs)
+    names, post = _product(models, tables, xs)
+    gaps = np.abs(estimate - _marginal(names, post, xs + ys))
+    return gaps.reshape(len(models), math.prod(gaps.shape[1 : 1 + len(xs)]), -1)
+
+
+def _trials(graph: Admg, query: AdjustmentQuery, trials: int, seed: int, domain_size: int, positivity_eps, first: int):
+    """The trials in blocks: per block, the model seed of its first trial, its
+    models and ``_block`` of them.  Trial ``i`` draws model seed ``seed + i``
+    through :func:`random_scm`.
+
+    The first block has ``first`` trials and each later one twice as many,
+    never more than fit ``_KEPT_JOINT_CELLS`` cells of joints (one trial when
+    a single model's joint is larger).  A block in which a model breaks
+    positivity is evaluated again one model at a time, so that the trials
+    before that model still come out and it raises at its own trial.
+    """
     xs, ys, zs = (sorted(s) for s in (query.treatments, query.outcomes, query.covariates))
-    for model_seed in range(seed, seed + trials):
-        scm = random_scm(graph, model_seed, domain_size, positivity_eps)
-        estimate = _estimand(*_post_joint(scm, ()), xs, ys, zs)
-        names, post = _post_joint(scm, xs)
-        gaps = np.abs(estimate - _marginal(names, post, xs + ys))
-        yield model_seed, scm, gaps.reshape(math.prod(gaps.shape[: len(xs)]), -1)
+    # random_scm refuses a domain below 2 at the first draw
+    cap = max(1, _KEPT_JOINT_CELLS // max(domain_size, 2) ** len(_expanded(graph)[0].nodes))
+    size, start, stop = min(first, cap), seed, seed + trials
+    while start < stop:
+        models = [random_scm(graph, s, domain_size, positivity_eps) for s in range(start, min(start + size, stop))]
+        try:
+            gaps = _block(models, xs, ys, zs)
+        except PositivityError:
+            if len(models) == 1:
+                raise
+            for i, scm in enumerate(models):
+                yield start + i, [scm], _block([scm], xs, ys, zs)
+        else:
+            yield start, models, gaps
+        start, size = start + len(models), min(2 * size, cap)
 
 
 def _x_at(scm: DiscreteScm, treatments, row: int) -> dict[str, int]:
@@ -542,15 +611,19 @@ def search_counterexample(
     witnesses are reproducible.
     """
     trials, seed, domain_size = _integers(trials=trials, seed=seed, domain_size=domain_size)
+    delta, positivity_eps = _reals(delta=delta, positivity_eps=positivity_eps)
     if trials < 1 or not delta >= 0:
         raise ValueError("trials must be at least 1 and delta non-negative")
     if adjustment_criterion(graph, query).holds:
         raise ValueError("the adjustment criterion holds; there is no counterexample to search for")
-    for trial, (model_seed, scm, gaps) in enumerate(_trials(graph, query, trials, seed, domain_size, positivity_eps)):
-        tv = 0.5 * gaps.sum(axis=1)
-        worst = int(tv.argmax())  # the first of equal gaps, as a strict scan keeps
-        if tv[worst] > delta:
-            return Counterexample(scm, float(tv[worst]), _x_at(scm, query.treatments, worst), trial, model_seed)
+    for start, models, gaps in _trials(graph, query, trials, seed, domain_size, positivity_eps, 1):
+        tv = 0.5 * gaps.sum(axis=2)
+        over = np.flatnonzero(tv.max(axis=1) > delta)
+        if over.size:
+            i = int(over[0])
+            worst = int(tv[i].argmax())  # the first of equal gaps, as a strict scan keeps
+            scm = models[i]
+            return Counterexample(scm, float(tv[i, worst]), _x_at(scm, query.treatments, worst), start + i - seed, start + i)
     return None
 
 
@@ -567,19 +640,21 @@ def verify_soundness(
     on ``trials`` random models.  Refuses queries the criterion rejects.
     """
     trials, seed, domain_size = _integers(trials=trials, seed=seed, domain_size=domain_size)
+    tol, positivity_eps = _reals(tol=tol, positivity_eps=positivity_eps)
     if trials < 1 or not tol >= 0:
         raise ValueError("trials must be at least 1 and tol non-negative")
     if not adjustment_criterion(graph, query).holds:
         raise ValueError("the adjustment criterion fails; soundness verification is undefined")
     max_gap, worst_seed, worst_x = 0.0, None, None
     failures: list[dict] = []
-    for model_seed, scm, gaps in _trials(graph, query, trials, seed, domain_size, positivity_eps):
-        gaps = gaps.max(axis=1)
-        worst = int(gaps.argmax())  # the first of equal gaps, as a strict scan keeps
-        if gaps[worst] > max_gap:
-            max_gap, worst_seed, worst_x = float(gaps[worst]), model_seed, _x_at(scm, query.treatments, worst)
-        for row in np.flatnonzero(gaps > tol):
-            failures.append({"seed": model_seed, "x": _x_at(scm, query.treatments, row), "gap": float(gaps[row])})
+    for start, models, gaps in _trials(graph, query, trials, seed, domain_size, positivity_eps, trials):
+        gaps = gaps.max(axis=2)
+        # the first of equal gaps in trial, then treatment order, as a strict scan keeps
+        i, worst = map(int, np.unravel_index(gaps.argmax(), gaps.shape))
+        if gaps[i, worst] > max_gap:
+            max_gap, worst_seed, worst_x = float(gaps[i, worst]), start + i, _x_at(models[i], query.treatments, worst)
+        for i, row in np.argwhere(gaps > tol).tolist():
+            failures.append({"seed": start + i, "x": _x_at(models[i], query.treatments, row), "gap": float(gaps[i, row])})
     return SoundnessReport(not failures, trials, max_gap, worst_seed, worst_x, failures)
 
 

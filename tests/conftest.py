@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from adjustkit import Admg, AdjustmentQuery, CycleError, Dist, joint_observed, parse_graph, random_scm
+from adjustkit import scm as scm_module
 from adjustkit.separation import Path as GraphPath
 from adjustkit.separation import Route, Step, enumerate_paths, path_blocked
 from adjustkit.graph import HEAD, descendants, incident_marks
@@ -324,6 +325,43 @@ def reference_refute(graph: Admg, query: AdjustmentQuery, trials: int, delta: fl
                 worst_gap, worst_x = tv, x
         if worst_gap > delta:
             return trial, seed + trial, worst_gap, worst_x
+    return None
+
+
+def one_model_gaps(graph: Admg, query: AdjustmentQuery, trials: int, seed: int, domain_size: int = 2):
+    """Per trial, per x in product order: (model seed, x, max-abs gap, total
+    variation), with each model alone through the one-model kernels: its
+    kept joints from ``_post_joint``, the estimand and the truth for every x."""
+    xs, ys, zs = (sorted(s) for s in (query.treatments, query.outcomes, query.covariates))
+    for model_seed in range(seed, seed + trials):
+        scm = random_scm(graph, model_seed, domain_size)
+        estimate = scm_module._estimand(*scm_module._post_joint(scm, ()), xs, ys, zs)
+        names, post = scm_module._post_joint(scm, xs)
+        truth = scm_module._marginal(names, post, xs + ys)
+        for combo in product(range(domain_size), repeat=len(xs)):
+            diff = np.abs(estimate[combo] - truth[combo])
+            yield model_seed, dict(zip(xs, combo)), float(diff.max()), 0.5 * float(diff.sum())
+
+
+def one_model_verify(graph: Admg, query: AdjustmentQuery, trials: int, tol: float, seed: int, domain_size: int = 2):
+    """The document ``verify_soundness`` gives, by a strict scan of ``one_model_gaps``."""
+    doc = {"passed": True, "trials": trials, "max_gap": 0.0, "worst_seed": None, "worst_x": None, "failures": []}
+    for model_seed, x, gap, _tv in one_model_gaps(graph, query, trials, seed, domain_size):
+        if gap > doc["max_gap"]:
+            doc.update(max_gap=gap, worst_seed=model_seed, worst_x=x)
+        if gap > tol:
+            doc["failures"].append({"seed": model_seed, "x": x, "gap": gap})
+    doc["passed"] = not doc["failures"]
+    return doc
+
+
+def one_model_refute(graph: Admg, query: AdjustmentQuery, trials: int, delta: float, seed: int, domain_size: int = 2):
+    """The document ``search_counterexample`` gives: the first trial whose
+    largest total variation (first x on ties) exceeds ``delta``; or None."""
+    for trial in range(trials):
+        model_seed, x, _gap, tv = max(one_model_gaps(graph, query, 1, seed + trial, domain_size), key=lambda r: r[3])
+        if tv > delta:
+            return {"found": True, "trial": trial, "seed": model_seed, "gap": tv, "x": x}
     return None
 
 

@@ -34,6 +34,9 @@ from conftest import (
     all_queries,
     graph_family,
     graph_from_edges,
+    one_model_gaps,
+    one_model_refute,
+    one_model_verify,
     reference_counterfactual_joint,
     reference_gaps,
     reference_independence_gap,
@@ -216,6 +219,26 @@ class TestRandomScm:
         assert type(random_scm(fig1a, np.int64(3)).seed) is int
         report = verify_soundness(fig1a, holding, trials=np.int64(2), seed=np.int64(1))
         assert report.to_json() == verify_soundness(fig1a, holding, trials=2, seed=1).to_json()
+
+    def test_real_arguments_must_be_real_numbers(self, fig1a):
+        """A string, a bool or a complex is no ``positivity_eps``, ``tol`` or
+        ``delta``: ``random_scm(g, 0, 2, "0.01")`` used to draw a model, and a
+        string ``tol`` raised a bare ``TypeError``."""
+        holding, failing = q({"X"}, {"Y"}, {"Z"}), q({"X"}, {"Y"})
+        calls = [
+            ("positivity_eps", lambda v: random_scm(fig1a, 0, 2, v)),
+            ("positivity_eps", lambda v: verify_soundness(fig1a, holding, trials=2, positivity_eps=v)),
+            ("tol", lambda v: verify_soundness(fig1a, holding, trials=2, tol=v)),
+            ("positivity_eps", lambda v: search_counterexample(fig1a, failing, trials=2, positivity_eps=v)),
+            ("delta", lambda v: search_counterexample(fig1a, failing, trials=2, delta=v)),
+        ]
+        for name, call in calls:
+            for value in ("0.01", True, np.bool_(False), None, [0.01], 0.01j):
+                with pytest.raises(ValueError, match=f"^value {re.escape(repr(value))} for {name} is not a real number$"):
+                    call(value)
+            call(0)
+            call(np.float64(0.01))
+        assert random_scm(fig1a, 0, 2, np.float64(0.01)) is random_scm(fig1a, 0, 2, 0.01)
 
     def test_state_space_guard_covers_each_drawn_table(self):
         # D's table has 33^4 = 1,185,921 cells, past the limit, though no joint is asked for
@@ -695,6 +718,121 @@ class TestAgainstPerTreatmentReference:
             with pytest.raises(PositivityError) as err:
                 check(graph, query, trials=1)
             assert err.value.assignment == {"Z1": 0, "Z2": 1}
+
+
+class TestTrialBlocks:
+    """Trials run in blocks of stacked models; every document equals, to the
+    last bit, the one that evaluating each model alone gives."""
+
+    @staticmethod
+    def block_sizes(monkeypatch) -> list[int]:
+        sizes, block = [], scm_module._block
+        monkeypatch.setattr(scm_module, "_block", lambda models, *rest: sizes.append(len(models)) or block(models, *rest))
+        return sizes
+
+    @pytest.mark.parametrize(
+        "graph, domain_size, holding, failing",
+        [
+            (confounded_chain(9, 2), 2, q({"V2", "V5"}, {"V8"}, {"V1", "V4"}), q({"V4", "V6"}, {"V7", "V8"}, {"V3"})),
+            (confounded_chain(6, 1), 3, q({"V3"}, {"V5"}, {"V2"}), q({"V3"}, {"V4"})),
+        ],
+    )
+    def test_several_blocks(self, monkeypatch, graph, domain_size, holding, failing):
+        cap = scm_module._KEPT_JOINT_CELLS // domain_size ** len(scm_module._expanded(graph)[0].nodes)
+        assert 1 < cap < 20  # a 20-trial sweep takes several blocks
+        sizes = self.block_sizes(monkeypatch)
+        for tol in (0.0, 1e-9):  # at tol 0 every nonzero rounding gap is a failure
+            report = verify_soundness(graph, holding, trials=20, tol=tol, seed=3, domain_size=domain_size)
+            assert report.to_json() == one_model_verify(graph, holding, 20, tol, 3, domain_size)
+            assert sizes == [cap] * (20 // cap) + [20 % cap] * (20 % cap > 0)
+            sizes.clear()
+        # 0, then each record of the trials' largest total variation, which
+        # stops the search at the trial that beats it; 1 is never exceeded
+        worst = [max(r[3] for r in one_model_gaps(graph, failing, 1, 3 + t, domain_size)) for t in range(20)]
+        records = [max(worst[:t]) for t in range(1, 20) if worst[t] > max(worst[:t])]
+        assert records
+        for delta in (0.0, *records, 1.0):
+            found = search_counterexample(graph, failing, trials=20, delta=delta, seed=3, domain_size=domain_size)
+            assert (found and found.to_json()) == one_model_refute(graph, failing, 20, delta, 3, domain_size)
+            # blocks of 1, 2, 4, ... trials up to the cap, until the find
+            stop, expected, size = found.trial + 1 if found else 20, [], 1
+            while sum(expected) < stop:
+                expected.append(min(size, 20 - sum(expected)))
+                size = min(2 * size, cap)
+            assert sizes == expected
+            sizes.clear()
+
+    @pytest.mark.parametrize("holds", [True, False])
+    def test_family_graphs_at_domain_size_3(self, holds):
+        for index, graph in enumerate(graph_family()[:40]):
+            picked = [query for query in all_queries(graph) if adjustment_criterion(graph, query).holds == holds]
+            for query in picked[:2]:
+                if holds:
+                    report = verify_soundness(graph, query, trials=20, tol=0.0, seed=index, domain_size=3)
+                    assert report.to_json() == one_model_verify(graph, query, 20, 0.0, index, 3)
+                else:
+                    found = search_counterexample(graph, query, trials=20, delta=0.01, seed=index, domain_size=3)
+                    assert (found and found.to_json()) == one_model_refute(graph, query, 20, 0.01, index, 3)
+
+    # X1 = 1 never happens when Z1 = 1, or X2 = 1 when Z2 = 1; the first bad
+    # cell in product order over (X1, X2) is then (Z1, Z2) = (1, 0) or (0, 1)
+    EDGES = [("Z1", "X1"), ("Z2", "X2"), ("X1", "Y"), ("X2", "Y"), ("Z1", "Y"), ("Z2", "Y")]
+    QUERY = q(["X1", "X2"], ["Y"], ["Z1", "Z2"])
+    BREAKS = {"X1": {"Z1": 1, "Z2": 0}, "X2": {"Z1": 0, "Z2": 1}}
+
+    @staticmethod
+    def broken_draws(monkeypatch, broken: dict[int, str]):
+        """Rebind the oracle's ``random_scm`` so that the model of each seed in
+        ``broken`` never takes value 1 at that node when its parent is 1."""
+
+        def draw(graph, seed, *args):
+            scm = random_scm(graph, seed, *args)
+            if seed not in broken:
+                return scm
+            return dataclasses.replace(scm, cpts={**scm.cpts, broken[seed]: np.array([[0.5, 0.5], [1.0, 0.0]])})
+
+        monkeypatch.setattr(scm_module, "random_scm", draw)
+
+    @pytest.mark.parametrize("first, second", [("X1", "X2"), ("X2", "X1")])
+    def test_verify_raises_at_the_first_broken_trial(self, monkeypatch, first, second):
+        graph = graph_from_edges(self.EDGES)
+        sizes = self.block_sizes(monkeypatch)
+        self.broken_draws(monkeypatch, {3: first, 9: second})
+        with pytest.raises(PositivityError) as err:
+            verify_soundness(graph, self.QUERY, trials=20, seed=0)
+        assert err.value.assignment == self.BREAKS[first]
+        # the block of 20, then trials 0..3 again one at a time
+        assert sizes == [20, 1, 1, 1, 1]
+
+    def test_refute_finds_a_counterexample_before_the_broken_trial_of_its_block(self, monkeypatch):
+        graph = graph_from_edges(self.EDGES, [("X1", "Y")])
+        # blocks of trials [0], [1, 2], [3, 4, 5, 6]: trial 6 is broken, and a
+        # record of the largest total variation at trial 3, 4 or 5 is found first
+        worst = [max(r[3] for r in one_model_gaps(graph, self.QUERY, 1, t)) for t in range(6)]
+        found_at = next(t for t in (3, 4, 5) if worst[t] > max(worst[:t]))
+        delta = max(worst[:found_at])
+        self.broken_draws(monkeypatch, {6: "X2"})
+        found = search_counterexample(graph, self.QUERY, trials=20, delta=delta, seed=0)
+        assert found.to_json() == one_model_refute(graph, self.QUERY, found_at + 1, delta, 0)
+        assert found.trial == found_at
+        with pytest.raises(PositivityError) as err:
+            search_counterexample(graph, self.QUERY, trials=20, delta=1.0, seed=0)
+        assert err.value.assignment == self.BREAKS["X2"]
+
+    def test_a_verify_sweep_is_one_kernel_call(self, fig1a, monkeypatch):
+        calls = []
+        for name in ("_block", "_post_joint"):
+            fn = getattr(scm_module, name)
+            monkeypatch.setattr(scm_module, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+        verify_soundness(fig1a, q({"X"}, {"Y"}, {"Z"}), trials=20, seed=0)
+        assert calls == ["_block"]
+
+    def test_a_refute_that_stops_at_trial_0_draws_one_model(self, fig1c, monkeypatch):
+        draws = []
+        monkeypatch.setattr(scm_module, "random_scm", lambda *args: draws.append(args) or random_scm(*args))
+        found = search_counterexample(fig1c, q({"X"}, {"Y"}, {"Z"}), trials=200, seed=0)
+        assert found.trial == 0
+        assert len(draws) == 1
 
 
 class TestSerialization:
