@@ -14,11 +14,15 @@ node.  That pins cross-world behavior to one concrete model among the many
 consistent with the conditional probability tables; the joint is computed
 on a broadcast grid over the latent and free values.
 
+A model is its tables and holds no joint or other mutable state, so
+callers may share one; every joint is computed from the tables when asked
+for.  :func:`random_scm` keeps recent models whose tables are small.
+
 ``verify_soundness`` and ``search_counterexample`` evaluate their trials in
 blocks: the tables of a block's models are stacked on a leading axis, and
 one product, one estimand and one comparison serve the whole block.  A
-block holds at most ``_KEPT_JOINT_CELLS`` cells of joints (one trial when
-a single model's joint is larger).  Verification takes the largest blocks
+block holds at most ``_HELD_CELLS`` cells of joints (one trial when a
+single model's joint is larger).  Verification takes the largest blocks
 that fit; the counterexample search, which stops at its first find, starts
 with one trial and doubles the block each time.
 """
@@ -26,7 +30,7 @@ with one trial and doubles the block each time.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
@@ -56,7 +60,9 @@ __all__ = [
 ]
 
 STATE_SPACE_LIMIT = 1 << 20
-_KEPT_JOINT_CELLS = 1 << 13  # random_scm keeps a model whose joints have at most this many cells
+# The cells one held set of arrays may have: the tables of a model that
+# random_scm keeps, and the joints of one block of trials in _trials
+_HELD_CELLS = 1 << 13
 _ROW_SUM_TOL = 1e-12
 _DIST_SUM_TOL = 1e-9
 
@@ -142,9 +148,10 @@ class DiscreteScm:
     ``cpts[v]`` has one axis per parent (parents name-sorted) plus a final
     axis for ``v``; each row along the final axis sums to one.  The latent
     projection of ``expanded_dag`` over ``latents`` equals ``graph``.
-    Models are read-only: ``domains`` and ``cpts`` are mapping proxies over
-    copies of what was passed in, and every table is a read-only array, so
-    a model handed out by :func:`random_scm` can be shared safely.
+    Models are read-only values that hold nothing but these fields:
+    ``domains`` and ``cpts`` are mapping proxies over copies of what was
+    passed in and every table is a read-only array, so a model handed out
+    by :func:`random_scm` can be shared safely, across threads too.
     """
 
     graph: Admg
@@ -153,7 +160,6 @@ class DiscreteScm:
     cpts: Mapping[str, np.ndarray]
     latents: tuple[str, ...]
     seed: int | None = None
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         cpts = {}
@@ -191,15 +197,17 @@ class DiscreteScm:
 
 
 @lru_cache(maxsize=32)
-def _expanded(graph: Admg) -> tuple[Admg, tuple[str, ...]]:
-    """The expanded DAG of ``graph`` and its latents, kept for the 32 graphs used last."""
+def _expanded(graph: Admg) -> tuple[Admg, tuple[str, ...], int]:
+    """The expanded DAG of ``graph``, its latents and the most axes of any of
+    its tables (one more than the largest in-degree), kept for the 32 graphs
+    used last."""
     dag, mapping = expand_bidirected(graph)
-    return dag, tuple(sorted(mapping.values()))
+    return dag, tuple(sorted(mapping.values())), 1 + max(map(len, dag._parents.values()), default=0)
 
 
 def _draw(graph: Admg, seed: int, domain_size: int, positivity_eps: float) -> DiscreteScm:
     """The model :func:`random_scm` describes, drawn afresh; ``_kept`` keeps the 512 drawn last."""
-    dag, latents = _expanded(graph)
+    dag, latents, _ = _expanded(graph)
     rng = np.random.default_rng(seed)
     cpts: dict[str, np.ndarray] = {}
     for v in dag.nodes:
@@ -210,7 +218,7 @@ def _draw(graph: Admg, seed: int, domain_size: int, positivity_eps: float) -> Di
 
 
 # 512 models hit as often as an unbounded table on oracle sweeps, which draw
-# the same 20 or 200 seeds for every query of a graph: at most 64 MB of joints
+# the same 20 or 200 seeds for every query of a graph: at most 32 MB of tables
 _kept = lru_cache(maxsize=512)(_draw)
 
 
@@ -236,9 +244,10 @@ def random_scm(graph: Admg, seed: int, domain_size: int = 2, positivity_eps: flo
     Every node (latents included) gets ``domain_size`` states; each CPT row
     is uniform on the simplex shrunk so that all entries are at least
     ``positivity_eps``, which keeps every joint configuration possible.
-    Models are read-only, and calls with equal arguments may share one: the
-    512 models asked for last whose joints have at most ``_KEPT_JOINT_CELLS``
-    cells are kept, and a larger one is drawn afresh for every call.
+    Models hold their tables and no joint or other mutable state, and calls
+    with equal arguments may share one: the 512 models asked for last whose
+    tables have at most ``_HELD_CELLS`` cells (bounded as the node count
+    times the largest table) are kept; a larger one is drawn for every call.
     """
     seed, domain_size = _integers(seed=seed, domain_size=domain_size)
     (positivity_eps,) = _reals(positivity_eps=positivity_eps)
@@ -246,7 +255,8 @@ def random_scm(graph: Admg, seed: int, domain_size: int = 2, positivity_eps: flo
         raise ValueError("domain_size must be at least 2")
     if not 0.0 <= positivity_eps < 1.0 / domain_size:
         raise ValueError("positivity_eps must lie in [0, 1/domain_size)")
-    kept = domain_size ** len(graph.nodes) <= _KEPT_JOINT_CELLS
+    dag, _, axes = _expanded(graph)
+    kept = len(dag.nodes) * domain_size**axes <= _HELD_CELLS
     return (_kept if kept else _draw)(graph, seed, domain_size, positivity_eps)
 
 
@@ -264,11 +274,12 @@ def _product(models, tables: Mapping[str, np.ndarray], treatments) -> tuple[tupl
     """P(observed nodes | do(X = x)) for every treatment value x, for each of ``models`` at once.
 
     ``tables`` is ``_stack(models)``; the models share one expanded DAG and
-    its domains.  The product of every table except the treatments', taken
-    in name order, keeps a leading axis over the models and one axis per
-    observed node (name-sorted, treatments included) with the latents summed
-    out; each model's slice at each x sums to one, and rounds as it does in
-    a product of that model alone.
+    its domains, and hold only their tables, so the joints are the caller's
+    and no model keeps one.  The product of every table except the
+    treatments', taken in name order, keeps a leading axis over the models
+    and one axis per observed node (name-sorted, treatments included) with
+    the latents summed out; each model's slice at each x sums to one, and
+    rounds as it does in a product of that model alone.
     """
     scm = models[0]
     names = sorted(scm.domains)
@@ -289,32 +300,10 @@ def _product(models, tables: Mapping[str, np.ndarray], treatments) -> tuple[tupl
     return observed, acc / acc.sum(axis=tuple(i + 1 for i, n in enumerate(observed) if n not in treatments), keepdims=True)
 
 
-def _post_joint(scm: DiscreteScm, treatments) -> tuple[tuple[str, ...], np.ndarray]:
-    """P(observed nodes | do(X = x)) for every treatment value x at once:
-    ``_product`` of the one model, kept on it for :func:`joint_observed` and
-    :func:`interventional` (the trial loop stacks its models and keeps nothing).
-
-    One axis per observed node (name-sorted, treatments included); the slice
-    at each x sums to one.  Read-only.  A model whose joints have at most
-    ``_KEPT_JOINT_CELLS`` cells (one :func:`random_scm` keeps) holds its
-    observational joint and at most that many cells of interventional ones,
-    oldest dropped first (128 kB at 13 binary nodes); a larger one holds all.
-    """
-    treatments = tuple(sorted(treatments))
-    key = ("post", treatments)
-    if key not in scm._cache:
-        for v in treatments:
-            if v not in scm.observed:
-                raise ValueError(f"cannot intervene on {v}: not an observed node")
-        observed, acc = _product([scm], _stack([scm]), treatments)
-        acc = acc[0]
-        acc.flags.writeable = False
-        if treatments and acc.size <= _KEPT_JOINT_CELLS:
-            held = [k for k in scm._cache if k[1]]
-            while acc.size + sum(scm._cache[k][1].size for k in held) > _KEPT_JOINT_CELLS:
-                del scm._cache[held.pop(0)]
-        scm._cache[key] = (observed, acc)
-    return scm._cache[key]
+def _one(scm: DiscreteScm, treatments) -> tuple[tuple[str, ...], np.ndarray]:
+    """``_product`` of the one model ``scm``, without the leading model axis."""
+    names, probs = _product([scm], _stack([scm]), treatments)
+    return names, probs[0]
 
 
 def _marginal(names, probs: np.ndarray, keep) -> np.ndarray:
@@ -339,7 +328,7 @@ def _check_values(names, sizes, x: Mapping[str, int]):
 
 def joint_observed(scm: DiscreteScm) -> Dist:
     """Exact observational joint over the graph's nodes, latents summed out."""
-    names, probs = _post_joint(scm, ())
+    names, probs = _one(scm, ())
     return Dist(names, probs.shape, probs)
 
 
@@ -358,7 +347,10 @@ def interventional(scm: DiscreteScm, x: Mapping[str, int], outcomes) -> Dist:
     for v in outcomes:
         if v not in scm.observed:
             raise ValueError(f"unknown outcome node: {v}")
-    names, probs = _post_joint(scm, x)
+    for v in x:
+        if v not in scm.observed:
+            raise ValueError(f"cannot intervene on {v}: not an observed node")
+    names, probs = _one(scm, x)
     _check_values(names, probs.shape, x)
     xs, ys = sorted(x), sorted(outcomes)
     arr = _marginal(names, probs, xs + ys)[tuple(x[v] for v in xs)]
@@ -565,14 +557,14 @@ def _trials(graph: Admg, query: AdjustmentQuery, trials: int, seed: int, domain_
     through :func:`random_scm`.
 
     The first block has ``first`` trials and each later one twice as many,
-    never more than fit ``_KEPT_JOINT_CELLS`` cells of joints (one trial when
+    never more than fit ``_HELD_CELLS`` cells of joints (one trial when
     a single model's joint is larger).  A block in which a model breaks
     positivity is evaluated again one model at a time, so that the trials
     before that model still come out and it raises at its own trial.
     """
     xs, ys, zs = (sorted(s) for s in (query.treatments, query.outcomes, query.covariates))
     # random_scm refuses a domain below 2 at the first draw
-    cap = max(1, _KEPT_JOINT_CELLS // max(domain_size, 2) ** len(_expanded(graph)[0].nodes))
+    cap = max(1, _HELD_CELLS // max(domain_size, 2) ** len(_expanded(graph)[0].nodes))
     size, start, stop = min(first, cap), seed, seed + trials
     while start < stop:
         models = [random_scm(graph, s, domain_size, positivity_eps) for s in range(start, min(start + size, stop))]
@@ -676,7 +668,8 @@ def scm_from_json(doc: dict) -> DiscreteScm:
     nodes, latents, domains, parents, cpt = _json_fields(
         doc, ("nodes", "latents", "domains", "parents", "cpt"), "model document")
     nodes, latents = tuple(_node_names(nodes)), tuple(_node_names(latents))
-    domains = {v: int(d) for v, d in zip(nodes, _json_fields(domains, nodes, "domains"))}
+    sizes = _json_fields(domains, nodes, "domains")
+    domains = dict(zip(nodes, _integers(**{f"the domain of {v}": d for v, d in zip(nodes, sizes)})))
     parents = dict(zip(nodes, _json_fields(parents, nodes, "parents")))
     cpt = dict(zip(nodes, _json_fields(cpt, nodes, "cpt")))
     directed = frozenset((p, v) for v in nodes for p in parents[v])
@@ -688,6 +681,7 @@ def scm_from_json(doc: dict) -> DiscreteScm:
         shape = tuple(domains[p] for p in parents[v]) + (domains[v],)
         cpts[v] = np.asarray(cpt[v], dtype=float).reshape(shape)
     graph = latent_project(dag, latents)
-    scm = DiscreteScm(graph, dag, domains, cpts, latents, seed=doc.get("seed"))
+    seed = doc.get("seed")
+    scm = DiscreteScm(graph, dag, domains, cpts, latents, seed=None if seed is None else _integers(seed=seed)[0])
     scm._check_tables()  # the graph is the DAG's projection by construction
     return scm

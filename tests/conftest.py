@@ -331,12 +331,12 @@ def reference_refute(graph: Admg, query: AdjustmentQuery, trials: int, delta: fl
 def one_model_gaps(graph: Admg, query: AdjustmentQuery, trials: int, seed: int, domain_size: int = 2):
     """Per trial, per x in product order: (model seed, x, max-abs gap, total
     variation), with each model alone through the one-model kernels: its
-    kept joints from ``_post_joint``, the estimand and the truth for every x."""
+    joints from ``_one``, the estimand and the truth for every x."""
     xs, ys, zs = (sorted(s) for s in (query.treatments, query.outcomes, query.covariates))
     for model_seed in range(seed, seed + trials):
         scm = random_scm(graph, model_seed, domain_size)
-        estimate = scm_module._estimand(*scm_module._post_joint(scm, ()), xs, ys, zs)
-        names, post = scm_module._post_joint(scm, xs)
+        estimate = scm_module._estimand(*scm_module._one(scm, ()), xs, ys, zs)
+        names, post = scm_module._one(scm, xs)
         truth = scm_module._marginal(names, post, xs + ys)
         for combo in product(range(domain_size), repeat=len(xs)):
             diff = np.abs(estimate[combo] - truth[combo])

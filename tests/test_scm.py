@@ -4,8 +4,10 @@ import dataclasses
 import gc
 import random
 import re
+import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, product
 
 import numpy as np
@@ -310,37 +312,44 @@ class TestJointObserved:
         assert worst > 1e-4
 
     def test_callers_cannot_change_the_cached_joint(self, fig1a):
+        # a joint is the caller's: editing it does not reach the next call
         scm = random_scm(fig1a, seed=0)
-        joint = joint_observed(scm)
-        with pytest.raises(ValueError):
-            joint.probs[0] = 0.0
-        joint.probs = np.zeros_like(joint.probs)
-        assert joint_observed(scm).probs.sum() == pytest.approx(1.0)
+        first = joint_observed(scm)
+        before = first.probs.copy()
+        first.probs[0] = 0.0
+        first.probs = np.zeros_like(first.probs)
+        post = interventional(scm, {"X": 0}, {"Y"})
+        expected = post.probs.copy()
+        post.probs[...] = 0.0
+        assert np.array_equal(joint_observed(scm).probs, before)
+        assert np.array_equal(interventional(scm, {"X": 0}, {"Y"}).probs, expected)
 
     def test_state_space_guard(self):
         scm = random_scm(chain_graph(21), seed=0)
         with pytest.raises(StateSpaceError):
             joint_observed(scm)
 
-    def test_small_joints_are_kept_on_the_model(self, fig1a):
-        scm = random_scm(fig1a, seed=0)
-        assert joint_observed(scm).probs is joint_observed(scm).probs
-
     def test_large_joints_are_not_kept(self):
-        # every trial draws a new model; were it kept in the model cache, its
-        # 2^20-cell joints (8 MB each) would outlive the call
-        tracemalloc.start()
-        try:
-            verify_soundness(chain_graph(20), q({"N0"}, {"N19"}), trials=4, seed=500)
-            kept = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert kept < 8 * 2**20
+        cases = [
+            # a 20-node chain's models are kept (78 cells of tables each), but
+            # a 2^20-cell joint (8 MB) kept with one would outlive the call
+            (chain_graph(20), q({"N0"}, {"N19"}), 4),
+            # a complete 14-node DAG's tables hold 2^15 - 2 cells, so its
+            # models are drawn afresh: 100 kept ones would hold about 25 MB
+            (graph_from_edges([(f"N{i}", f"N{j}") for j in range(14) for i in range(j)]), q({"N0"}, {"N13"}), 100),
+        ]
+        for graph, query, trials in cases:
+            tracemalloc.start()
+            try:
+                verify_soundness(graph, query, trials=trials, seed=500)
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert kept < 8 * 2**20
 
     def test_a_kept_model_bounds_its_interventional_joints(self):
-        # a 13-node chain's joints have 2^13 cells (64 kB), so its models stay
-        # in the model cache; asked about twelve treatment sets, each keeps its
-        # observational joint and at most 2^13 cells of interventional ones
+        # a 13-node chain's models stay in the model cache; asked about twelve
+        # treatment sets, none of them keeps a joint (each is 64 kB)
         graph = graph_from_edges([(f"M{i}", f"M{i + 1}") for i in range(12)])
         tracemalloc.start()
         try:
@@ -351,30 +360,28 @@ class TestJointObserved:
             tracemalloc.stop()
         assert kept < 4 * 2**20
 
-    def test_a_kept_model_drops_its_oldest_interventional_joint(self):
-        # a 12-node chain's joints have 2^12 cells, so a kept model holds two
-        # interventional joints; a third replaces the one computed first
+    def test_threads_share_a_kept_model(self):
+        # a kept model is shared by every caller; were any joint stored on it,
+        # threads switching every microsecond would race on that store
         graph = graph_from_edges([(f"K{i}", f"K{i + 1}") for i in range(11)])
         scm = random_scm(graph, seed=0)
         assert random_scm(graph, seed=0) is scm
-        for v in ("K1", "K2", "K1", "K3"):
-            interventional(scm, {v: 0}, {"K11"})
-        assert [k for k in scm._cache if k[1]] == [("post", ("K2",)), ("post", ("K3",))]
+        calls = [(f"K{1 + i % 10}", i % 2) for i in range(40)]
 
-    def test_a_held_large_model_keeps_its_joints(self):
-        # a model with 2^14-cell joints is not shared, but the caller that
-        # holds it computes each joint once, as with a small model, however
-        # many treatment sets it asks about
-        graph = chain_graph(14)
-        scm = random_scm(graph, seed=0)
-        assert random_scm(graph, seed=0) is not scm
-        assert joint_observed(scm).probs is joint_observed(scm).probs
-        posts = {}
-        for v in ("N3", "N5", "N3", "N5"):
-            interventional(scm, {v: 1}, {"N9"})
-            posts.setdefault(v, scm._cache[("post", (v,))])
-            assert scm._cache[("post", (v,))] is posts[v]
-        assert all(scm._cache[("post", (v,))] is post for v, post in posts.items())
+        def results(_):
+            return [(interventional(scm, {v: x}, {"K11"}).probs, joint_observed(scm).probs) for v, x in calls]
+
+        serial = results(None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                threaded = list(pool.map(results, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+        for got in threaded:
+            for (post, joint), (post0, joint0) in zip(got, serial, strict=True):
+                assert np.array_equal(post, post0) and np.array_equal(joint, joint0)
 
 
 class TestModelTable:
@@ -408,6 +415,14 @@ class TestModelTable:
         assert again.expanded_dag is scm.expanded_dag
         for v in scm.expanded_dag.nodes:
             assert np.array_equal(again.cpts[v], scm.cpts[v])
+
+    def test_sweeps_of_a_14_node_chain_draw_each_seed_once(self):
+        # its joints have 2^14 cells but its tables 54, so its models are kept
+        graph = chain_graph(14)
+        drawn = scm_module._kept.cache_info().misses
+        for i in range(6):
+            verify_soundness(graph, q({f"N{i}"}, {"N13"}), trials=20, seed=14000)
+        assert scm_module._kept.cache_info().misses - drawn == 20
 
     def test_repeated_sweeps_draw_each_seed_once(self):
         # oracle sweeps ask for the same 20 seeds on every query of a graph; a
@@ -462,6 +477,12 @@ class TestInterventional:
             interventional(scm, {"X": 0}, {"X"})
         with pytest.raises(ValueError):
             interventional(scm, {"X": 0}, set())
+
+    def test_intervenes_only_on_observed_nodes(self):
+        scm = random_scm(graph_from_edges([("X", "Y")], [("X", "Y")]), seed=0)
+        for node in ("Q", *scm.latents):
+            with pytest.raises(ValueError, match=f"^cannot intervene on {node}: not an observed node$"):
+                interventional(scm, {node: 0}, {"Y"})
 
 
 class TestAdjustmentEstimand:
@@ -738,7 +759,7 @@ class TestTrialBlocks:
         ],
     )
     def test_several_blocks(self, monkeypatch, graph, domain_size, holding, failing):
-        cap = scm_module._KEPT_JOINT_CELLS // domain_size ** len(scm_module._expanded(graph)[0].nodes)
+        cap = scm_module._HELD_CELLS // domain_size ** len(scm_module._expanded(graph)[0].nodes)
         assert 1 < cap < 20  # a 20-trial sweep takes several blocks
         sizes = self.block_sizes(monkeypatch)
         for tol in (0.0, 1e-9):  # at tol 0 every nonzero rounding gap is a failure
@@ -821,7 +842,7 @@ class TestTrialBlocks:
 
     def test_a_verify_sweep_is_one_kernel_call(self, fig1a, monkeypatch):
         calls = []
-        for name in ("_block", "_post_joint"):
+        for name in ("_block", "_one"):
             fn = getattr(scm_module, name)
             monkeypatch.setattr(scm_module, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
         verify_soundness(fig1a, q({"X"}, {"Y"}, {"Z"}), trials=20, seed=0)
@@ -891,6 +912,13 @@ class TestSerialization:
     )
     def test_malformed_document_raises_value_error(self, doc, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            scm_from_json(doc)
+
+    @pytest.mark.parametrize("domain, seed", [(2.7, 0), ("2", 0), (True, 0), (2, [1, 2]), (2, 0.5)])
+    def test_numbers_must_be_integers(self, fig1a, domain, seed):
+        doc = scm_to_json(random_scm(fig1a, seed=0))
+        doc["domains"]["X"], doc["seed"] = domain, seed
+        with pytest.raises(ValueError, match="is not an integer$"):
             scm_from_json(doc)
 
     def test_node_list_as_a_string_is_refused(self, fig1a):
