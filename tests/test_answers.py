@@ -5,8 +5,10 @@ adjustment verdict documents, the back-door verdict document, the twin
 and magnified booleans and the helper set on the magnified graph, and per
 (treatments, outcomes) pair the proper back-door graph's text, the canonical
 set, ``exists``, the first four enumerated sets, the twin network's text and
-name map, its noise-linked text and the text of the graph magnified at the
-outcomes' out-edges.  The graphs are every labelled 3-node ADMG with all of its
+name map, its noise-linked text, the text of the graph magnified at the
+outcomes' out-edges and the texts of ``cut_incoming``, ``cut_outgoing``,
+``remove_nodes`` and ``latent_project`` at the treatments, and once per graph
+the text and latent map of ``expand_bidirected``.  The graphs are every labelled 3-node ADMG with all of its
 queries, and the seeded 300-graph family with 16 queries each.
 
 A change that alters any answer changes its graph's hash, and the failure
@@ -27,14 +29,19 @@ from adjustkit import (
     adjustment_criterion,
     backdoor_criterion,
     canonical_adjustment_set,
+    cut_incoming,
+    cut_outgoing,
     enumerate_adjustment_sets,
     exists_adjustment_set,
+    expand_bidirected,
     graphical_ignorability,
     helper_conditioning_set,
+    latent_project,
     magnification_check,
     magnify,
     noise_linked,
     proper_backdoor_graph,
+    remove_nodes,
     twin_network,
     verdict_to_json,
 )
@@ -89,7 +96,13 @@ def _answers(graph, queries) -> list:
             twin.graph.to_text(), sorted(twin.counterfactual_of.items()),
             noise_linked(twin).to_text(),
             _magnified(graph, y).to_text(),
+            cut_incoming(graph, x).to_text(),
+            cut_outgoing(graph, x).to_text(),
+            remove_nodes(graph, x).to_text(),
+            latent_project(graph, x).to_text(),
         ])
+    expanded, latents = expand_bidirected(graph)
+    records.append([expanded.to_text(), sorted(latents.items())])
     return records
 
 
