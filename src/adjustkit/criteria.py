@@ -29,6 +29,8 @@ from .graph import (
     NodeSet,
     _closure,
     _cut_ancestors,
+    _graph,
+    _integers,
     _node_names,
     _node_set,
     _pair_name,
@@ -187,7 +189,7 @@ def proper_backdoor_graph(graph: Admg, treatments, outcomes) -> Admg:
     query = _checked_query(graph, AdjustmentQuery(treatments, outcomes))
     amenable = _proper_causal(graph, query.treatments, query.outcomes) - query.treatments
     drop = {(a, b) for a in query.treatments for b in graph._children[a] & amenable}
-    return graph._edit(drop_directed=drop) if drop else graph
+    return _graph(graph.nodes, graph.directed - drop, graph.bidirected) if drop else graph
 
 
 def adjustment_criterion(graph: Admg, query: AdjustmentQuery, mode: str = "fast") -> CriterionVerdict:
@@ -264,6 +266,7 @@ def enumerate_adjustment_sets(
     """Valid adjustment sets drawn from ``candidates``, smallest first
     (ties in size broken lexicographically), up to ``limit`` of them.
     """
+    (limit,) = _integers(limit=limit)
     if limit <= 0:
         raise ValueError("limit must be positive")
     split = _split(graph, _checked_query(graph, AdjustmentQuery(treatments, outcomes)))
@@ -310,8 +313,7 @@ def magnify(graph: Admg, mediated_edges=()) -> Admg:
         extra.append(c)
         directed.add((a, c))
         directed.add((c, b))
-    return graph._edit(drop_directed=mediated, drop_bidirected=graph.bidirected,
-                       add_nodes=extra, add_directed=directed)
+    return _graph(graph.nodes + tuple(extra), graph.directed - mediated | directed, frozenset())
 
 
 def _magnified_view(graph: Admg, outcomes: NodeSet):
@@ -429,8 +431,14 @@ def verdict_from_json(doc: dict | str) -> tuple[str, CriterionVerdict]:
     if isinstance(doc, str):
         doc = json.loads(doc)
     criterion, holds = _json_fields(doc, ("criterion", "holds"), "verdict document")
+    if not isinstance(criterion, str):
+        raise ValueError(f"verdict criterion must be a string, not {criterion!r}")
+    if not isinstance(holds, bool):
+        raise ValueError(f"verdict holds must be true or false, not {holds!r}")
     failure = None
     raw = doc.get("failure")
+    if holds and raw is not None:
+        raise ValueError("a verdict that holds carries no failure")
     if raw is not None:
         (kind,) = _json_fields(raw, ("kind",), "failure document")
         cls = _FAILURE_CLASSES.get(kind) if isinstance(kind, str) else None

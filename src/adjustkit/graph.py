@@ -20,21 +20,25 @@ preserved by serialization.
 
 Graphs come from two constructors.  The public ``Admg(...)`` (and so
 ``Admg.build``) checks names, edge ends, pair order and acyclicity.
-``Admg._edit`` checks nothing and fills every graph's adjacency: results of
-transforms and ``latent_project`` are valid by construction, and the
-grammar of ``parse_graph`` leaves only acyclicity to check.
+``_graph`` checks nothing: results of transforms and ``latent_project`` are
+valid by construction, and the grammar of ``parse_graph`` leaves only
+acyclicity to check.  Both fill the adjacency tables through ``_tables``.
 """
 
 from __future__ import annotations
 
 import heapq
 import re
+from collections import defaultdict
 from dataclasses import dataclass
+from numbers import Integral
 
 HEAD = "head"
 TAIL = "tail"
 
 NodeSet = frozenset[str]
+
+_NO_NODES: NodeSet = frozenset()  # the one entry of every node without neighbours in a table
 
 __all__ = [
     "HEAD",
@@ -64,6 +68,14 @@ def _node_names(names):
     if isinstance(names, str):
         raise TypeError(f"expected a collection of node names, not the string {names!r}")
     return names
+
+
+def _integers(**values) -> list[int]:
+    """``values`` as ints, refusing any that is not an integer; a ``bool`` is no integer here."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"value {value!r} for {name} is not an integer")
+    return [int(value) for value in values.values()]
 
 
 def _node_set(names) -> NodeSet:
@@ -136,45 +148,8 @@ class Admg:
                     raise UnknownNodeError(f"edge {a} {arrow} {b} uses an undeclared node")
                 if a == b:
                     raise GraphError(f"self-loop on {a}")
-        built = _EMPTY._edit(add_nodes=self.nodes, add_directed=self.directed, add_bidirected=self.bidirected)
-        self.__dict__.update(_parents=built._parents, _children=built._children, _spouses=built._spouses)
+        self.__dict__.update(_tables(self.nodes, self.directed, self.bidirected))
         _acyclic(self)
-
-    def _edit(self, drop_nodes=frozenset(), drop_directed=frozenset(), drop_bidirected=frozenset(),
-              add_nodes=(), add_directed=frozenset(), add_bidirected=frozenset()) -> "Admg":
-        """A graph derived from this one without any check: the caller adds
-        fresh legal nodes (they go last), known ends and sorted pairs, drops
-        every edge at a dropped node and closes no directed cycle (a build on
-        the empty graph checks that itself).  Only changed entries are rebuilt."""
-        tables = (dict(self._parents), dict(self._children), dict(self._spouses))
-        for table in tables:
-            for v in drop_nodes:
-                del table[v]
-            table.update(dict.fromkeys(add_nodes, frozenset()))
-        for op, directed, bidirected in ((frozenset.difference, drop_directed, drop_bidirected),
-                                         (frozenset.union, add_directed, add_bidirected)):
-            if not directed and not bidirected:
-                continue
-            delta: tuple[dict[str, list[str]], ...] = ({}, {}, {})  # per table: node -> changed neighbours
-            for a, b in directed:
-                delta[0].setdefault(b, []).append(a)
-                delta[1].setdefault(a, []).append(b)
-            for a, b in bidirected:
-                delta[2].setdefault(a, []).append(b)
-                delta[2].setdefault(b, []).append(a)
-            for table, changed in zip(tables, delta):
-                for v, neighbours in changed.items():
-                    if v in table:  # a dropped node's entry is gone
-                        table[v] = op(table[v], neighbours)
-        nodes = tuple(v for v in self.nodes if v not in drop_nodes) if drop_nodes else self.nodes
-        out = object.__new__(Admg)
-        out.__dict__.update(  # frozen dataclass: set the fields directly
-            nodes=nodes + tuple(add_nodes),
-            directed=self.directed - drop_directed | add_directed,
-            bidirected=self.bidirected - drop_bidirected | add_bidirected,
-            _parents=tables[0], _children=tables[1], _spouses=tables[2],
-        )
-        return out
 
     @classmethod
     def build(cls, directed=(), bidirected=(), nodes=()) -> "Admg":
@@ -226,6 +201,30 @@ class Admg:
         bi = ", ".join(f"{a} <-> {b}" for a, b in sorted(self.bidirected))
         edges = "; ".join(s for s in (d, bi) if s)
         return f"<Admg [{' '.join(self.nodes)}] {edges}>"
+
+
+def _tables(nodes, directed, bidirected) -> dict[str, dict[str, NodeSet]]:
+    """The ``_parents``, ``_children`` and ``_spouses`` tables of a graph whose
+    edges join its nodes, keyed in node order and filled in one pass over the
+    edges: a list per node with neighbours, then one frozenset per node."""
+    parents, children, spouses = defaultdict(list), defaultdict(list), defaultdict(list)
+    for a, b in directed:
+        parents[b].append(a)
+        children[a].append(b)
+    for a, b in bidirected:
+        spouses[a].append(b)
+        spouses[b].append(a)
+    return {name: {v: frozenset(lists[v]) if v in lists else _NO_NODES for v in nodes}
+            for name, lists in (("_parents", parents), ("_children", children), ("_spouses", spouses))}
+
+
+def _graph(nodes: tuple[str, ...], directed: frozenset, bidirected: frozenset) -> Admg:
+    """The graph of these parts, built without any check: the caller passes
+    distinct legal node names, edges between them, name-sorted bidirected
+    pairs and no directed cycle (``parse_graph`` checks that itself)."""
+    out = object.__new__(Admg)  # a frozen dataclass: its fields are set directly
+    out.__dict__.update(nodes=nodes, directed=directed, bidirected=bidirected, **_tables(nodes, directed, bidirected))
+    return out
 
 
 def _line_error(line: str, lineno: int):
@@ -284,7 +283,7 @@ def parse_graph(text: str) -> Admg:
         if pair in seen:
             raise GraphParseError(f"duplicate edge {tail} {arrow} {head}", lineno, edge.start(1) + 1)
         seen.add(pair)
-    return _acyclic(_EMPTY._edit(add_nodes=tuple(order), add_directed=seen_directed, add_bidirected=seen_bidirected))
+    return _acyclic(_graph(tuple(order), frozenset(seen_directed), frozenset(seen_bidirected)))
 
 
 def _fresh(stem: str, taken: set[str], suffix: str = "") -> str:
@@ -357,19 +356,20 @@ def cut_incoming(graph: Admg, targets) -> Admg:
     are removed; this is the graph after an intervention on ``targets``.
     """
     into, _, bidirected = _edges_at(graph, graph.node_subset(targets))
-    return graph._edit(drop_directed=into, drop_bidirected=bidirected)
+    return _graph(graph.nodes, graph.directed - into, graph.bidirected - bidirected)
 
 
 def cut_outgoing(graph: Admg, sources) -> Admg:
     """Drop directed edges whose tail is in ``sources``; bidirected edges stay."""
-    return graph._edit(drop_directed=_edges_at(graph, graph.node_subset(sources))[1])
+    return _graph(graph.nodes, graph.directed - _edges_at(graph, graph.node_subset(sources))[1], graph.bidirected)
 
 
 def remove_nodes(graph: Admg, dropped) -> Admg:
     """Delete nodes together with every edge that touches them."""
     dropped = graph.node_subset(dropped)
     into, out, bidirected = _edges_at(graph, dropped)
-    return graph._edit(drop_nodes=dropped, drop_directed=into | out, drop_bidirected=bidirected)
+    nodes = tuple(v for v in graph.nodes if v not in dropped)
+    return _graph(nodes, graph.directed - into - out, graph.bidirected - bidirected)
 
 
 def _edges_at(graph: Admg, nodes: NodeSet):
@@ -427,7 +427,7 @@ def latent_project(graph: Admg, hidden) -> Admg:
         for b in holders.get(u, ())
         if b != a
     }
-    return _EMPTY._edit(add_nodes=keep, add_directed=directed, add_bidirected=bidirected)
+    return _graph(keep, frozenset(directed), frozenset(bidirected))
 
 
 def proper_causal_nodes(graph: Admg, treatments, outcomes) -> NodeSet:
@@ -461,8 +461,7 @@ def expand_bidirected(graph: Admg) -> tuple[Admg, dict[tuple[str, str], str]]:
     ``_do``).
     """
     mapping, directed = _splice_latents(graph, "__U", set(graph.nodes))
-    expanded = graph._edit(drop_bidirected=graph.bidirected, add_nodes=mapping.values(), add_directed=directed)
-    return expanded, mapping
+    return _graph(graph.nodes + tuple(mapping.values()), graph.directed | directed, frozenset()), mapping
 
 
 def topological_order(graph: Admg) -> tuple[str, ...]:
@@ -493,6 +492,3 @@ def _acyclic(graph: Admg) -> Admg:
         raise CycleError(f"cycle detected in directed part (involving {', '.join(cycle)})")
     return graph
 
-
-_EMPTY = object.__new__(Admg)  # made by hand, since Admg() builds its own tables from it
-_EMPTY.__dict__.update(nodes=(), directed=frozenset(), bidirected=frozenset(), _parents={}, _children={}, _spouses={})

@@ -38,7 +38,7 @@ from typing import Mapping
 import numpy as np
 
 from .criteria import AdjustmentQuery, _json_fields, adjustment_criterion
-from .graph import Admg, _node_names, _node_set, expand_bidirected, latent_project
+from .graph import Admg, _integers, _node_names, _node_set, expand_bidirected, latent_project
 
 __all__ = [
     "Counterexample",
@@ -220,14 +220,6 @@ def _draw(graph: Admg, seed: int, domain_size: int, positivity_eps: float) -> Di
 # 512 models hit as often as an unbounded table on oracle sweeps, which draw
 # the same 20 or 200 seeds for every query of a graph: at most 32 MB of tables
 _kept = lru_cache(maxsize=512)(_draw)
-
-
-def _integers(**values) -> list[int]:
-    """``values`` as ints, refusing any that is not an integer; a ``bool`` is no integer here."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"value {value!r} for {name} is not an integer")
-    return [int(value) for value in values.values()]
 
 
 def _reals(**values) -> list[float]:
@@ -670,7 +662,7 @@ def scm_from_json(doc: dict) -> DiscreteScm:
     nodes, latents = tuple(_node_names(nodes)), tuple(_node_names(latents))
     sizes = _json_fields(domains, nodes, "domains")
     domains = dict(zip(nodes, _integers(**{f"the domain of {v}": d for v, d in zip(nodes, sizes)})))
-    parents = dict(zip(nodes, _json_fields(parents, nodes, "parents")))
+    parents = dict(zip(nodes, map(_node_names, _json_fields(parents, nodes, "parents"))))
     cpt = dict(zip(nodes, _json_fields(cpt, nodes, "cpt")))
     directed = frozenset((p, v) for v in nodes for p in parents[v])
     dag = Admg(nodes, directed, frozenset())

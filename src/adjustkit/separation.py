@@ -24,6 +24,7 @@ from .graph import (
     Admg,
     GraphError,
     _closure,
+    _integers,
     incident_marks,
 )
 
@@ -191,16 +192,16 @@ def enumerate_paths(graph: Admg, sources, sinks, max_len: int | None = None) -> 
     start and sinks only at the end, in deterministic (lexicographic) order.
 
     ``max_len`` caps the number of steps; by default it is the node count,
-    which no simple path can exceed.  A negative cap raises ``ValueError``.
+    which no simple path can exceed.  A negative cap, or one that is not an
+    integer, raises ``ValueError``.
     """
-    if max_len is not None and max_len < 0:
+    (max_len,) = _integers(max_len=len(graph.nodes) if max_len is None else max_len)
+    if max_len < 0:
         raise ValueError("max_len must be non-negative")
     sources = graph.node_subset(sources)
     sinks = graph.node_subset(sinks)
     if sources & sinks:
         raise GraphError("endpoint sets overlap")
-    if max_len is None:
-        max_len = len(graph.nodes)
     found: list[Path] = []
     for a in sorted(sources):
         # depth-first, one iterator over incident edges per node on the trail

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import separation
-from .graph import HEAD, TAIL, Admg, _closure, _fresh, _splice_latents
+from .graph import HEAD, TAIL, Admg, _closure, _fresh, _graph, _splice_latents
 
 __all__ = ["TwinGraph", "graphical_ignorability", "noise_linked", "twin_network"]
 
@@ -59,8 +59,7 @@ def twin_network(graph: Admg, treatments) -> TwinGraph:
     directed |= edges
     directed |= {(u, copy_of[end]) for u, end in edges if end in redrawn}
     copies = tuple(copy_of[v] for v in graph.nodes if v in affected)
-    twin = graph._edit(drop_bidirected=graph.bidirected, add_nodes=copies + tuple(latents.values()),
-                       add_directed=directed)
+    twin = _graph(graph.nodes + copies + tuple(latents.values()), graph.directed | directed, frozenset())
     return TwinGraph(twin, copy_of)
 
 
@@ -83,7 +82,7 @@ def noise_linked(twin: TwinGraph) -> Admg:
         # node inherits at least one parent from the mutilated graph
         if copy != v and twin.graph.parents(copy)
     )
-    return twin.graph._edit(add_bidirected=links)
+    return _graph(twin.graph.nodes, twin.graph.directed, twin.graph.bidirected | links)
 
 
 def _twin_view(graph: Admg, treatments, affected):

@@ -117,6 +117,19 @@ def graph_family(count: int = 300, base_seed: int = 1000) -> tuple[Admg, ...]:
     )
 
 
+def sparse_admg(rng: random.Random, n: int) -> Admg:
+    """A sparse ADMG on V0..V<n-1>: 1.5n distinct directed edges, each from a
+    lower to a higher index, and 0.5n distinct bidirected edges, drawn uniformly."""
+    names = [f"V{i}" for i in range(n)]
+    directed, bidirected = set(), set()
+    while len(directed) < 3 * n // 2:
+        i, j = sorted(rng.sample(range(n), 2))
+        directed.add((names[i], names[j]))
+    while len(bidirected) < n // 2:
+        bidirected.add(tuple(sorted(rng.sample(names, 2))))
+    return Admg(tuple(names), frozenset(directed), frozenset(bidirected))
+
+
 def chain_graph(n: int) -> Admg:
     """The directed chain V0 -> V1 -> ... -> V<n-1>."""
     names = tuple(f"V{i}" for i in range(n))

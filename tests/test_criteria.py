@@ -269,8 +269,8 @@ class TestSweepCut:
 
     def test_verdicts_build_no_cut_graph(self, monkeypatch):
         edits = []
-        edit = Admg._edit
-        monkeypatch.setattr(Admg, "_edit", lambda self, **kw: edits.append(1) or edit(self, **kw))
+        tables = graph._tables
+        monkeypatch.setattr(graph, "_tables", lambda *parts: edits.append(1) or tables(*parts))
         limits = ((adjustment_criterion, 0), (backdoor_criterion, 0),
                   (graphical_ignorability, 0), (magnification_check, 0))
         for g in all_mixed_graphs(3):
@@ -471,6 +471,9 @@ class TestEnumerateSets:
     def test_zero_limit_rejected(self, fig1a):
         with pytest.raises(ValueError):
             enumerate_adjustment_sets(fig1a, {"X"}, {"Y"}, {"Z"}, limit=0)
+        for limit in (2.5, True, "3"):  # a limit that is not an integer
+            with pytest.raises(ValueError, match="not an integer"):
+                enumerate_adjustment_sets(fig1a, {"X"}, {"Y"}, {"Z"}, limit=limit)
 
     def test_candidates_must_avoid_endpoints(self, fig1a):
         with pytest.raises(GraphError):
@@ -688,6 +691,11 @@ class TestVerdictJson:
             ({"criterion": "adjustment"}, "verdict document lacks the key 'holds'"),
             ({"holds": True}, "verdict document lacks the key 'criterion'"),
             (["adjustment", True], "verdict document must be a JSON object, not list"),
+            ({"criterion": "adjustment", "holds": "no"}, "verdict holds must be true or false, not 'no'"),
+            ({"criterion": "adjustment", "holds": 0}, "verdict holds must be true or false, not 0"),
+            ({"criterion": ["adjustment"], "holds": True}, "verdict criterion must be a string, not ['adjustment']"),
+            ({"criterion": "backdoor", "holds": True, "failure": {"kind": "open_backdoor_path", "path": "X <- Z -> Y"}},
+             "a verdict that holds carries no failure"),
             ({"criterion": "backdoor", "holds": False, "failure": "open"},
              "failure document must be a JSON object, not str"),
             ({"criterion": "backdoor", "holds": False, "failure": {"path": "X <- Z -> Y"}},

@@ -1,5 +1,6 @@
 """Graph type, parser, and structural transforms."""
 
+import random
 import re
 import time
 import tracemalloc
@@ -54,6 +55,7 @@ from conftest import (
     graph_from_edges,
     load_fixture,
     networkx_closures,
+    sparse_admg,
     subsets_of,
 )
 
@@ -606,7 +608,7 @@ def assert_matches_checked_build(derived):
 
 
 class TestDerivedGraphs:
-    """Transforms build their results through the unchecked ``Admg._edit``."""
+    """Transforms build their results through the unchecked ``graph._graph``."""
 
     def test_every_three_node_graph_and_target_set(self):
         for graph in all_mixed_graphs(3):
@@ -619,6 +621,12 @@ class TestDerivedGraphs:
     @settings(max_examples=200, deadline=None)
     def test_random_graphs_with_parallel_pairs(self, case):
         graph, targets = case
+        for derived in derived_graphs(graph, targets):
+            assert_matches_checked_build(derived)
+
+    def test_seeded_sparse_graph(self):
+        graph = sparse_admg(random.Random(29), 2000)
+        targets = frozenset(random.Random(30).sample(graph.nodes, 10))
         for derived in derived_graphs(graph, targets):
             assert_matches_checked_build(derived)
 

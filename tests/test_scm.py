@@ -928,6 +928,13 @@ class TestSerialization:
         with pytest.raises(TypeError, match="not the string"):
             scm_from_json(doc)
 
+    def test_parents_entry_as_a_string_is_refused(self, fig1a):
+        doc = scm_to_json(random_scm(fig1a, seed=0))
+        assert doc["parents"]["Y"] == ["X", "Z"]
+        doc["parents"]["Y"] = "XZ"
+        with pytest.raises(TypeError, match="not the string"):
+            scm_from_json(doc)
+
 
 class TestIndependenceGap:
     def test_rejects_overlap(self, fig1a):

@@ -200,6 +200,9 @@ class TestEnumeratePaths:
         assert enumerate_paths(fig1a, {"X"}, {"Y"}, max_len=0) == []
         with pytest.raises(ValueError, match="max_len"):
             enumerate_paths(fig1a, {"X"}, {"Y"}, max_len=-1)
+        for max_len in (1.5, True, "2"):  # a cap that is not an integer
+            with pytest.raises(ValueError, match="max_len is not an integer"):
+                enumerate_paths(fig1a, {"X"}, {"Y"}, max_len=max_len)
 
     def test_overlapping_sets_rejected(self, fig1a):
         with pytest.raises(GraphError):
