@@ -268,21 +268,21 @@ class TestSweepCut:
                 assert (back.holds, back.witness_path) == (want.separated, want.witness), (g, query)
 
     def test_verdicts_build_no_cut_graph(self, monkeypatch):
-        edits = []
+        builds = []
         tables = graph._tables
-        monkeypatch.setattr(graph, "_tables", lambda *parts: edits.append(1) or tables(*parts))
+        monkeypatch.setattr(graph, "_tables", lambda *parts: builds.append(1) or tables(*parts))
         limits = ((adjustment_criterion, 0), (backdoor_criterion, 0),
                   (graphical_ignorability, 0), (magnification_check, 0))
         for g in all_mixed_graphs(3):
             for query in all_queries(g):
                 for verdict, limit in limits:
-                    edits.clear()
+                    builds.clear()
                     verdict(g, query)
-                    assert len(edits) <= limit, (verdict.__name__, g, query)
+                    assert len(builds) <= limit, (verdict.__name__, g, query)
         g = parse_graph("X -> Y")
-        edits.clear()
+        builds.clear()
         proper_backdoor_graph(g, {"X"}, {"Y"})
-        assert edits == [1]  # the counter sees the transform's copy
+        assert builds == [1]  # the counter sees the transform's copy
 
 
 class TestCheckedOnce:
