@@ -691,11 +691,6 @@ class TestVerdictJson:
             ({"criterion": "adjustment"}, "verdict document lacks the key 'holds'"),
             ({"holds": True}, "verdict document lacks the key 'criterion'"),
             (["adjustment", True], "verdict document must be a JSON object, not list"),
-            ({"criterion": "adjustment", "holds": "no"}, "verdict holds must be true or false, not 'no'"),
-            ({"criterion": "adjustment", "holds": 0}, "verdict holds must be true or false, not 0"),
-            ({"criterion": ["adjustment"], "holds": True}, "verdict criterion must be a string, not ['adjustment']"),
-            ({"criterion": "backdoor", "holds": True, "failure": {"kind": "open_backdoor_path", "path": "X <- Z -> Y"}},
-             "a verdict that holds carries no failure"),
             ({"criterion": "backdoor", "holds": False, "failure": "open"},
              "failure document must be a JSON object, not str"),
             ({"criterion": "backdoor", "holds": False, "failure": {"path": "X <- Z -> Y"}},
@@ -706,6 +701,11 @@ class TestVerdictJson:
              "malformed path text: 5"),
             ({"criterion": "adjustment", "holds": False, "failure": {"kind": "forbidden_descendant", "offender": "Z"}},
              "forbidden_descendant failure document lacks the key 'causal_node'"),
+            ({"criterion": "adjustment", "holds": "no"}, "verdict holds must be true or false, not 'no'"),
+            ({"criterion": "adjustment", "holds": 0}, "verdict holds must be true or false, not 0"),
+            ({"criterion": ["adjustment"], "holds": True}, "verdict criterion must be a string, not ['adjustment']"),
+            ({"criterion": "backdoor", "holds": True, "failure": {"kind": "open_backdoor_path", "path": "X <- Z -> Y"}},
+             "a verdict that holds carries no failure"),
         ],
     )
     def test_malformed_document_raises_value_error(self, doc, message):
